@@ -1,8 +1,7 @@
 """Poisson random hypergraphs, identifiability collapse, and their limits."""
 
-from .chain import ChainRun, ChainState, edge_rate, edge_rate_curve, run, step
-from .errors import (BracketError, ChainAbsorbedError, ChainExhaustedError,
-                     DegenerateModelError)
+from .chain import ChainRun, edge_rate_curve, run
+from .errors import BracketError, DegenerateModelError
 from .fluid import (FluctuationSample, FluidModel, diffusion_factors, drift,
                     drift_jacobian, limit_fractions, patch_overlap_average,
                     path, path_grid, sample_limit_fraction, sigma_sq,
@@ -12,27 +11,26 @@ from .hypergraph import (CollapseOutcome, Hypergraph, collapse_all,
                          sample_poisson, write_hypergraph)
 from .montecarlo import (AggregateRow, ExperimentConfig, ExperimentResult,
                          ReplicaRecord, concentration_curve, config_from_json,
-                         critical_alpha, derive_seed, run_replicas, stream)
-from .series import (BetaSeries, CriticalStructure, critical_structure,
-                     deficiency, deficiency_grid, evaluate, evaluate_grid,
-                     from_binomial_family, from_graph_params)
+                         derive_seed, run_replicas, stream)
+from .series import (BetaSeries, CriticalStructure, critical_alpha,
+                     critical_structure, deficiency, deficiency_grid, evaluate,
+                     evaluate_grid, from_binomial_family, from_graph_params)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaSeries", "CriticalStructure", "critical_structure", "deficiency",
-    "deficiency_grid", "evaluate", "evaluate_grid", "from_binomial_family",
-    "from_graph_params",
+    "BetaSeries", "CriticalStructure", "critical_structure", "critical_alpha",
+    "deficiency", "deficiency_grid", "evaluate", "evaluate_grid",
+    "from_binomial_family", "from_graph_params",
     "Hypergraph", "CollapseOutcome", "sample_poisson", "remove_vertex",
     "collapse_all", "identifiable_set", "read_hypergraph", "write_hypergraph",
-    "ChainState", "ChainRun", "edge_rate", "edge_rate_curve", "step", "run",
+    "ChainRun", "edge_rate_curve", "run",
     "FluidModel", "FluctuationSample", "drift", "drift_jacobian",
     "diffusion_factors", "path", "path_grid", "limit_fractions", "sigma_sq",
     "sample_limit_fraction", "simulate_fluctuation", "patch_overlap_average",
     "ExperimentConfig", "ExperimentResult", "ReplicaRecord", "AggregateRow",
-    "run_replicas", "concentration_curve", "critical_alpha", "config_from_json",
+    "run_replicas", "concentration_curve", "config_from_json",
     "derive_seed", "stream",
-    "DegenerateModelError", "BracketError", "ChainAbsorbedError",
-    "ChainExhaustedError",
+    "DegenerateModelError", "BracketError",
     "__version__",
 ]

@@ -18,28 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ChainAbsorbedError, ChainExhaustedError
 from .series import BetaSeries
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Counts after `removed` collapses of an n_vertices model."""
-
-    removed: int
-    patches: int
-    debris: int
-    n_vertices: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.removed <= self.n_vertices:
-            raise ValueError("removed out of range")
-        if self.patches < 0 or self.debris < 0:
-            raise ValueError("negative count")
-
-    @property
-    def absorbed(self) -> bool:
-        return self.patches == 0
 
 
 def _binomial(n: int, k: int) -> float:
@@ -49,39 +28,17 @@ def _binomial(n: int, k: int) -> float:
     return out
 
 
-def edge_rate(n_vertices: int, removed: int, size: int, series: BetaSeries) -> float:
-    """Per-subset Poisson rate of size-`size` edges after `removed` collapses.
+def edge_rate_curve(n_vertices: int, size: int, series: BetaSeries) -> np.ndarray:
+    """Per-subset Poisson rate of size-`size` edges after n = 0..N-1 collapses.
 
     A surviving size-`size` edge is any original size-(size+i) edge whose
     other i vertices were all removed; summing those contributions gives
 
-        N * sum_i b_{size+i} * C(removed, i) / C(N, i + size)
+        N * sum_i b_{size+i} * C(n, i) / C(N, i + size)
 
     computed with running products of ratios (no factorial overflow) and
-    exact for polynomial series.
-    """
-    N, n, j = int(n_vertices), int(removed), int(size)
-    if not 0 <= n < N:
-        raise ValueError(f"removed must be in [0, n_vertices), got {n} of {N}")
-    if j < 0 or j > N:
-        raise ValueError(f"size must be in [0, n_vertices], got {j}")
-    imax = min(n, series.degree - j, N - j)
-    if imax < 0:
-        return 0.0
-    r = N / _binomial(N, j)  # r_i = N * C(n, i) / C(N, i + j)
-    total = series.coeff(j) * r
-    for i in range(1, imax + 1):
-        r = r * ((n - i + 1) / i) * ((i + j) / (N - i - j + 1))
-        total += series.coeff(j + i) * r
-    return total
-
-
-def edge_rate_curve(n_vertices: int, size: int, series: BetaSeries) -> np.ndarray:
-    """`edge_rate` for every removed count 0..n_vertices-1, one vectorized pass.
-
-    Same recurrence and operation order as the scalar version; for i beyond
-    a given removed count the running product hits an exact zero factor, so
-    the truncation is automatic.
+    exact for polynomial series.  For i beyond a given n the running
+    product hits an exact zero factor, so the truncation is automatic.
     """
     N, j = int(n_vertices), int(size)
     if N < 1:
@@ -98,28 +55,6 @@ def edge_rate_curve(n_vertices: int, size: int, series: BetaSeries) -> np.ndarra
         r = r * ((n_arr - i + 1) / i) * ((i + j) / (N - i - j + 1))
         total = total + series.coeff(j + i) * r
     return total
-
-
-def step(state: ChainState, series: BetaSeries, rng: np.random.Generator,
-         rate: Optional[float] = None) -> ChainState:
-    """Advance one removal.
-
-    `rate` may supply a precomputed edge_rate(N, removed, 2, series); the
-    draw itself is exact either way.
-    """
-    if state.patches == 0:
-        raise ChainAbsorbedError("no patches left")
-    if state.removed >= state.n_vertices:
-        raise ChainExhaustedError("every vertex already removed")
-    N, n = state.n_vertices, state.removed
-    if rate is None:
-        rate = edge_rate(N, n, 2, series)
-    shared = int(rng.binomial(state.patches - 1, 1.0 / (N - n)))
-    new_patches = int(rng.poisson((N - n - 1) * rate))
-    return ChainState(n + 1,
-                      state.patches - 1 - shared + new_patches,
-                      state.debris + 1 + shared,
-                      N)
 
 
 @dataclass
@@ -154,7 +89,6 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     debris = int(rng.poisson(N * series.coeff(0)))
     trajectory = [(0, patches, debris)] if record_trajectory else None
 
-    # hot loop: mirrors step(); pinned to it by an equivalence test
     removed = 0
     binomial = rng.binomial
     poisson = rng.poisson

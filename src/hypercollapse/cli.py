@@ -20,14 +20,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import chain as chain_mod
 from . import hypergraph as hg
 from . import montecarlo as mc
 from .fluid import (FluidModel, CURVE_COLUMNS, limit_fractions,
                     patch_overlap_average, sample_limit_fraction)
-from .series import (BetaSeries, CriticalStructure, critical_structure,
-                     from_binomial_family, from_graph_params)
+from .series import (BetaSeries, CriticalStructure, critical_alpha,
+                     critical_structure, from_binomial_family, from_graph_params)
 from .serialize import write_csv, write_json
 
 _BETA_HELP = "comma-separated coefficients b0,b1,..."
@@ -146,16 +147,9 @@ def cmd_sweep(parser, args) -> int:
         doc = json.load(fh)
     config = mc.config_from_json(doc)
     if args.threads is not None:
-        config = mc.ExperimentConfig(
-            series=config.series, n_values=config.n_values,
-            replicas=config.replicas, master_seed=config.master_seed,
-            delta=config.delta, record_trajectory=config.record_trajectory,
-            workers=args.threads)
+        config = replace(config, workers=args.threads)
     if args.delta is not None:
-        config = mc.ExperimentConfig(
-            series=config.series, n_values=config.n_values,
-            replicas=config.replicas, master_seed=config.master_seed,
-            delta=args.delta, record_trajectory=True, workers=config.workers)
+        config = replace(config, delta=args.delta, record_trajectory=True)
     outputs = doc.get("outputs", {})
     out_dir = _ensure_dir(args.out)
     results_csv = os.path.join(out_dir, outputs.get("results_csv", "results.csv"))
@@ -179,8 +173,8 @@ def cmd_critical(parser, args) -> int:
     def family(a: float) -> BetaSeries:
         return from_binomial_family(a, args.family_a, args.family_b, args.family_k)
 
-    alpha_c, zeta0 = mc.critical_alpha(family, args.alpha_lo, args.alpha_hi,
-                                       tangency_tolerance=args.tangency_tol)
+    alpha_c, zeta0 = critical_alpha(family, args.alpha_lo, args.alpha_hi,
+                                    tangency_tolerance=args.tangency_tol)
     crit = critical_structure(family(alpha_c), tangency_tolerance=args.tangency_tol)
     doc = {
         "alpha_c": alpha_c,
@@ -198,12 +192,17 @@ def cmd_critical(parser, args) -> int:
 
 
 def cmd_zdist(parser, args) -> int:
+    if args.replicas < 1:
+        parser.error(f"--replicas must be at least 1, got {args.replicas}")
     if args.z_star is not None:
-        zeta = ()
-        if args.zeta:
-            zeta = tuple(sorted(float(z) for z in args.zeta.split(",")))
-        crit = CriticalStructure(z_star=args.z_star, zeta=zeta,
-                                 tangency_tolerance=args.tangency_tol)
+        try:
+            zeta = ()
+            if args.zeta:
+                zeta = tuple(sorted(float(z) for z in args.zeta.split(",")))
+            crit = CriticalStructure(z_star=args.z_star, zeta=zeta,
+                                     tangency_tolerance=args.tangency_tol)
+        except ValueError as exc:
+            parser.error(f"bad --z-star/--zeta: {exc}")
     else:
         series = _series_from_args(parser, args)
         crit = critical_structure(series, tangency_tolerance=args.tangency_tol)

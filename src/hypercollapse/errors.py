@@ -8,10 +8,3 @@ class DegenerateModelError(ValueError):
 class BracketError(RuntimeError):
     """A bisection bracket does not straddle the target."""
 
-
-class ChainAbsorbedError(RuntimeError):
-    """A step was requested from a state with no patches left."""
-
-
-class ChainExhaustedError(RuntimeError):
-    """A step was requested after every vertex has been removed."""

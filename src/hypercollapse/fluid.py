@@ -29,15 +29,15 @@ from scipy.integrate import quad
 
 from .series import (BetaSeries, CriticalStructure, T_CAP, critical_structure,
                      deficiency, deficiency_grid, evaluate, evaluate_grid)
+from .series import _check_t as _check_unit_t
 
 CURVE_COLUMNS = ("t", "x1", "x2", "x3", "f", "sigma_sq")
+# share of the removal range, at its end, that `patch_overlap_average` covers
+_OVERLAP_WINDOW = 0.1
 
 
 def _check_t(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t < 1.0:
-        raise ValueError(f"t must be in [0, 1), got {t}")
-    return min(t, T_CAP)
+    return min(_check_unit_t(t), T_CAP)
 
 
 def _as_state(x) -> tuple[float, float, float]:
@@ -150,19 +150,17 @@ def limit_fractions(series: BetaSeries,
     return z, edge_frac
 
 
-def patch_overlap_average(series: BetaSeries, window: float = 0.1) -> float:
-    """Average deficiency over the last `window` of the removal range.
+def patch_overlap_average(series: BetaSeries) -> float:
+    """Average deficiency over the last tenth of the removal range.
 
     The deficiency f(t) is the expected number of other patches sharing
     the vertex of the patch selected at time t, so this is the mean
     overlap during the final stretch of a supercritical collapse.
-    Computed by quadrature on [1 - window, 1), capped below 1.
+    Computed by quadrature on [0.9, 1), capped below 1.
     """
-    if not 0.0 < window < 1.0:
-        raise ValueError("window must be in (0, 1)")
-    lo = 1.0 - window
+    lo = 1.0 - _OVERLAP_WINDOW
     value, _ = quad(lambda t: deficiency(series, t), lo, T_CAP, limit=200)
-    return value / window
+    return value / _OVERLAP_WINDOW
 
 
 @dataclass(frozen=True)
@@ -182,8 +180,6 @@ def sample_limit_fraction(critical: CriticalStructure,
     negative value stops the collapse at that z, otherwise it runs to
     z_star.  With no candidates the answer is z_star with probability 1.
     """
-    if list(critical.zeta) != sorted(critical.zeta):
-        raise ValueError("zeta must be sorted ascending")
     w = 0.0
     s = 0.0
     for z in critical.zeta:
@@ -260,9 +256,8 @@ class FluidModel:
 
     @classmethod
     def build(cls, series: BetaSeries, t_max: Optional[float] = None,
-              grid_points: int = 100_000,
               tangency_tolerance: float = 1e-9) -> "FluidModel":
-        crit = critical_structure(series, grid_points, tangency_tolerance)
+        crit = critical_structure(series, tangency_tolerance)
         if t_max is None:
             t_max = min(0.999, crit.z_star + 0.1)
         return cls(series, crit, min(float(t_max), T_CAP))

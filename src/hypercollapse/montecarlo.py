@@ -11,15 +11,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .chain import edge_rate_curve, run
-from .errors import BracketError, DegenerateModelError
+from .errors import DegenerateModelError
 from .fluid import path_grid
-from .rootfind import golden_min
-from .series import BetaSeries, T_CAP, deficiency, deficiency_grid
+from .series import BetaSeries, T_CAP, from_graph_params
 
 _MASK64 = (1 << 64) - 1
 
@@ -77,6 +76,8 @@ class ExperimentConfig:
             raise ValueError("n_values must be non-empty")
         if any(n < 10 for n in self.n_values):
             raise ValueError("every n_vertices must be >= 10")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ValueError(f"n_values must be distinct, got {self.n_values}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
@@ -209,55 +210,6 @@ def concentration_curve(config: ExperimentConfig, delta: float) -> list[tuple[in
     return [(row.n_vertices, row.dev_freq) for row in result.aggregates]
 
 
-def _dip_minimum(series: BetaSeries, grid_points: int) -> tuple[float, float]:
-    """Location and value of the interior minimum of the deficiency."""
-    ts = np.linspace(0.0, T_CAP, grid_points)
-    fs = deficiency_grid(series, ts)
-    i = int(np.argmin(fs[1:-1])) + 1
-    if not (fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]):
-        raise BracketError("deficiency has no interior dip on [0, 1)")
-    return golden_min(lambda t: deficiency(series, t),
-                      float(ts[i - 1]), float(ts[i + 1]))
-
-
-def critical_alpha(family: Callable[[float], BetaSeries],
-                   alpha_lo: float, alpha_hi: float,
-                   tangency_tolerance: float = 1e-9,
-                   rel_tol: float = 1e-12,
-                   grid_points: int = 16384) -> tuple[float, float]:
-    """Bisect the family parameter to the tangency of the deficiency dip.
-
-    `family` maps a parameter alpha to a BetaSeries whose deficiency
-    increases pointwise with alpha.  The dip minimum must be negative at
-    alpha_lo (subcritical) and positive at alpha_hi (supercritical);
-    returns (alpha_c, dip location), the parameter where the dip touches
-    zero and the tangency point itself.
-    """
-    lo, hi = float(alpha_lo), float(alpha_hi)
-    if lo > hi:
-        raise BracketError("alpha_lo must not exceed alpha_hi")
-    t_lo, m_lo = _dip_minimum(family(lo), grid_points)
-    if lo == hi:
-        if abs(m_lo) <= tangency_tolerance:
-            return lo, t_lo
-        raise BracketError("single parameter is not tangent within tolerance")
-    _, m_hi = _dip_minimum(family(hi), grid_points)
-    if m_lo >= 0.0:
-        raise BracketError(f"alpha_lo={lo} is not subcritical (dip minimum {m_lo} >= 0)")
-    if m_hi <= 0.0:
-        raise BracketError(f"alpha_hi={hi} is not supercritical (dip minimum {m_hi} <= 0)")
-    while (hi - lo) > rel_tol * max(abs(hi), 1.0):
-        mid = 0.5 * (lo + hi)
-        _, m_mid = _dip_minimum(family(mid), grid_points)
-        if m_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha_c = 0.5 * (lo + hi)
-    t_c, _ = _dip_minimum(family(alpha_c), grid_points)
-    return alpha_c, t_c
-
-
 def config_from_json(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document.
 
@@ -265,8 +217,6 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     or from the graph shorthand ("p" and "alpha").  Recognized keys:
     N_values, replicas, master_seed, delta, record_trajectory, workers.
     """
-    from .series import from_graph_params  # local to avoid cycle at import time
-
     if "beta" in doc and ("p" in doc or "alpha" in doc):
         raise ValueError("config must give either 'beta' or 'p'/'alpha', not both")
     if "beta" in doc:
@@ -281,12 +231,16 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         master_seed = int(doc["master_seed"])
     except KeyError as missing:
         raise ValueError(f"config is missing required key {missing}") from None
+    record_trajectory = doc.get("record_trajectory", False)
+    if not isinstance(record_trajectory, bool):
+        raise ValueError("record_trajectory must be true or false, "
+                         f"got {record_trajectory!r}")
     return ExperimentConfig(
         series=series,
         n_values=n_values,
         replicas=replicas,
         master_seed=master_seed,
         delta=float(doc["delta"]) if doc.get("delta") is not None else None,
-        record_trajectory=bool(doc.get("record_trajectory", False)),
+        record_trajectory=record_trajectory,
         workers=int(doc.get("workers", 1)),
     )

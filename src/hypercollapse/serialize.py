@@ -31,10 +31,10 @@ def _cell(value) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table; a cell that fails to format leaves no file behind."""
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.write(text)
 
 
 def dumps_json(obj, indent: int = 0) -> str:
@@ -67,5 +67,7 @@ def dumps_json(obj, indent: int = 0) -> str:
 
 
 def write_json(obj, path: str) -> None:
+    """Write a JSON document; a value that fails to format leaves no file behind."""
+    text = dumps_json(obj) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(obj) + "\n")
+        fh.write(text)

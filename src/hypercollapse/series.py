@@ -18,14 +18,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateModelError
-from .rootfind import bisect_root, golden_min
+from .errors import BracketError, DegenerateModelError
 
 # log(1 - t) blows up at 1; grids and evaluations are capped just below.
 T_CAP = 1.0 - 1e-9
+_SCAN_POINTS = 100_000   # threshold scan grid of `critical_structure`
+_DIP_POINTS = 16384      # dip scan grid of `critical_alpha`
+_REL_TOL = 1e-12         # relative bracket width at which bisections stop
+_GOLDEN_XTOL = 1e-11     # bracket width at which golden-section search stops
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -59,12 +64,24 @@ class CriticalStructure:
     ``zeta`` holds refined locations of interior minima of the deficiency
     whose value is within ``tangency_tolerance`` of zero.  Tangency is
     numerically ill-posed (f touches zero without crossing), so these are
-    reported candidates, not certified zeros.
+    reported candidates, not certified zeros.  Construction requires
+    0 < zeta[0] < ... < zeta[-1] < z_star <= 1 and a positive, finite
+    tolerance.
     """
 
     z_star: float
     zeta: tuple[float, ...]
     tangency_tolerance: float
+
+    def __post_init__(self) -> None:
+        # every comparison with NaN is false, so NaN fails both checks
+        points = (0.0, *self.zeta, self.z_star)
+        if not (self.z_star <= 1.0 and all(a < b for a, b in zip(points, points[1:]))):
+            raise ValueError("need 0 < zeta[0] < ... < zeta[-1] < z_star <= 1, "
+                             f"got zeta={tuple(self.zeta)}, z_star={self.z_star}")
+        if not 0.0 < self.tangency_tolerance < math.inf:
+            raise ValueError("tangency_tolerance must be positive and finite, "
+                             f"got {self.tangency_tolerance}")
 
 
 def _check_t(t: float) -> float:
@@ -120,25 +137,59 @@ def deficiency_grid(series: BetaSeries, ts: np.ndarray) -> np.ndarray:
     return evaluate_grid(series, ts, 1) + np.log1p(-ts)
 
 
-def critical_structure(series: BetaSeries, grid_points: int = 100_000,
+def _bisect_root(f: Callable[[float], float], a: float, b: float) -> float:
+    """Refine a sign change with f(a) >= 0 > f(b) down to relative width 1e-12.
+
+    Bisection and golden-section search are deliberately simple: the
+    functions refined here are smooth and cheap, so robustness beats speed.
+    """
+    fa, fb = f(a), f(b)
+    if not (fa >= 0.0 > fb):
+        raise ValueError(f"not a (>=0, <0) bracket: f({a})={fa}, f({b})={fb}")
+    while (b - a) > _REL_TOL * max(abs(b), _REL_TOL):
+        mid = 0.5 * (a + b)
+        if f(mid) < 0.0:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
+
+
+def _golden_min(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """Golden-section minimization on [a, b]; returns (argmin, min value)."""
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > _GOLDEN_XTOL:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def critical_structure(series: BetaSeries,
                        tangency_tolerance: float = 1e-9) -> CriticalStructure:
     """Scan the deficiency for its threshold and tangency candidates.
 
-    A uniform grid on [0, 1 - 1e-9] locates the first sign change of f,
-    refined by bisection to 1e-12 relative width; interior grid minima
-    before the threshold are refined by golden-section search and kept
-    when |f| at the minimum is within the tangency tolerance.  A refined
-    minimum below -tolerance means the grid stepped over a crossing, in
-    which case the threshold is moved there.
+    A uniform grid of 100 000 points on [0, 1 - 1e-9] locates the first
+    sign change of f, refined by bisection to 1e-12 relative width;
+    interior grid minima before the threshold are refined by golden-section
+    search and kept when |f| at the minimum is within the tangency
+    tolerance.  A refined minimum below -tolerance means the grid stepped
+    over a crossing, in which case the threshold is moved there.
     """
-    if grid_points < 1000:
-        raise ValueError("grid_points must be at least 1000")
     if tangency_tolerance <= 0.0:
         raise ValueError("tangency_tolerance must be positive")
     if series.coeff(1) <= 0.0:
         raise DegenerateModelError("b1 = 0: no patches at the start, nothing collapses")
 
-    ts = np.linspace(0.0, T_CAP, grid_points)
+    ts = np.linspace(0.0, T_CAP, _SCAN_POINTS)
     fs = deficiency_grid(series, ts)
 
     def f(t: float) -> float:
@@ -148,19 +199,19 @@ def critical_structure(series: BetaSeries, grid_points: int = 100_000,
     negative = np.flatnonzero(fs < 0.0)
     if negative.size:
         k = int(negative[0])  # k >= 1 because f(0) = b1 > 0
-        z_star = bisect_root(f, float(ts[k - 1]), float(ts[k]))
+        z_star = _bisect_root(f, float(ts[k - 1]), float(ts[k]))
 
     zeta: list[float] = []
     interior = np.flatnonzero((fs[1:-1] <= fs[:-2]) & (fs[1:-1] <= fs[2:])) + 1
     for i in interior:
         if ts[i] >= z_star:
             break
-        t_min, f_min = golden_min(f, float(ts[i - 1]), float(ts[i + 1]))
+        t_min, f_min = _golden_min(f, float(ts[i - 1]), float(ts[i + 1]))
         if t_min >= z_star:
             continue
         if f_min < -tangency_tolerance:
             # crossing hidden between grid points: the threshold is earlier
-            z_star = bisect_root(f, float(ts[i - 1]), t_min)
+            z_star = _bisect_root(f, float(ts[i - 1]), t_min)
             continue
         if abs(f_min) <= tangency_tolerance:
             if zeta and abs(t_min - zeta[-1]) < 1e-8:
@@ -169,6 +220,55 @@ def critical_structure(series: BetaSeries, grid_points: int = 100_000,
     zeta = [z for z in zeta if z < z_star]
     return CriticalStructure(z_star=float(z_star), zeta=tuple(zeta),
                              tangency_tolerance=float(tangency_tolerance))
+
+
+def _dip_minimum(series: BetaSeries) -> tuple[float, float]:
+    """Location and value of the interior minimum of the deficiency."""
+    ts = np.linspace(0.0, T_CAP, _DIP_POINTS)
+    fs = deficiency_grid(series, ts)
+    i = int(np.argmin(fs[1:-1])) + 1
+    if not (fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]):
+        raise BracketError("deficiency has no interior dip on [0, 1)")
+    return _golden_min(lambda t: deficiency(series, t),
+                       float(ts[i - 1]), float(ts[i + 1]))
+
+
+def critical_alpha(family: Callable[[float], BetaSeries],
+                   alpha_lo: float, alpha_hi: float,
+                   tangency_tolerance: float = 1e-9) -> tuple[float, float]:
+    """Bisect the family parameter to the tangency of the deficiency dip.
+
+    `family` maps a parameter alpha to a BetaSeries whose deficiency
+    increases pointwise with alpha.  The dip minimum must be negative at
+    alpha_lo (subcritical) and positive at alpha_hi (supercritical);
+    returns (alpha_c, dip location), the parameter where the dip touches
+    zero and the tangency point itself.  Each dip is located on a grid of
+    16384 points and refined by golden-section search; the bisection stops
+    at relative width 1e-12.
+    """
+    lo, hi = float(alpha_lo), float(alpha_hi)
+    if lo > hi:
+        raise BracketError("alpha_lo must not exceed alpha_hi")
+    t_lo, m_lo = _dip_minimum(family(lo))
+    if lo == hi:
+        if abs(m_lo) <= tangency_tolerance:
+            return lo, t_lo
+        raise BracketError("single parameter is not tangent within tolerance")
+    _, m_hi = _dip_minimum(family(hi))
+    if m_lo >= 0.0:
+        raise BracketError(f"alpha_lo={lo} is not subcritical (dip minimum {m_lo} >= 0)")
+    if m_hi <= 0.0:
+        raise BracketError(f"alpha_hi={hi} is not supercritical (dip minimum {m_hi} <= 0)")
+    while (hi - lo) > _REL_TOL * max(abs(hi), 1.0):
+        mid = 0.5 * (lo + hi)
+        _, m_mid = _dip_minimum(family(mid))
+        if m_mid < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    alpha_c = 0.5 * (lo + hi)
+    t_c, _ = _dip_minimum(family(alpha_c))
+    return alpha_c, t_c
 
 
 def from_graph_params(p: float, alpha: float) -> BetaSeries:

@@ -4,10 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hypercollapse import (BetaSeries, ChainAbsorbedError, ChainExhaustedError,
-                           ChainState, collapse_all, edge_rate, edge_rate_curve,
+from hypercollapse import (BetaSeries, collapse_all, edge_rate_curve,
                            from_binomial_family, from_graph_params, run,
-                           sample_poisson, step)
+                           sample_poisson)
 from helpers import (absorption_law, exact_edge_rate, first_negative_root,
                      tv_distance)
 
@@ -20,13 +19,12 @@ SMALL = BetaSeries((0.2, 0.3, 0.4))
 class TestEdgeRate:
     def test_single_term_at_start(self):
         series = BetaSeries((0.0, 0.0, 0.25))
-        assert edge_rate(100, 0, 2, series) == pytest.approx(
+        assert edge_rate_curve(100, 2, series)[0] == pytest.approx(
             100 * 0.25 / math.comb(100, 2), rel=1e-14)
 
     def test_no_coefficients_above_size(self):
         series = BetaSeries((0.0, 1.0, 0.0))
-        for removed in (0, 5, 60):
-            assert edge_rate(100, removed, 2, series) == 0.0
+        assert not edge_rate_curve(100, 2, series).any()
 
     def test_matches_exact_combinatorics(self):
         rng = np.random.default_rng(3)
@@ -36,24 +34,17 @@ class TestEdgeRate:
             size = int(rng.integers(0, 5))
             degree = int(rng.integers(0, min(6, n_vertices) + 1))
             coeffs = tuple(float(c) for c in rng.random(degree + 1))
-            got = edge_rate(n_vertices, removed, size, BetaSeries(coeffs))
+            got = edge_rate_curve(n_vertices, size, BetaSeries(coeffs))[removed]
             want = exact_edge_rate(n_vertices, removed, size, coeffs)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            edge_rate(10, 10, 2, SMALL)
+            edge_rate_curve(0, 2, SMALL)
         with pytest.raises(ValueError):
-            edge_rate(10, -1, 2, SMALL)
+            edge_rate_curve(10, -1, SMALL)
         with pytest.raises(ValueError):
-            edge_rate(10, 0, 11, SMALL)
-
-    def test_curve_matches_scalar_exactly(self):
-        for n_vertices, series in ((50, EX2_SUB), (200, EX1), (10, SMALL)):
-            curve = edge_rate_curve(n_vertices, 2, series)
-            scalars = np.array([edge_rate(n_vertices, n, 2, series)
-                                for n in range(n_vertices)])
-            assert np.array_equal(curve, scalars)
+            edge_rate_curve(10, 11, SMALL)
 
     def test_rate_approximation_improves_with_scale(self):
         # N * rate at size 2 approaches b''(n/N); the sup error over the
@@ -68,63 +59,70 @@ class TestEdgeRate:
         assert sups[1] < sups[0] / 3.0
 
 
-class TestStep:
-    def test_absorbed_error(self):
-        state = ChainState(2, 0, 5, 10)
-        with pytest.raises(ChainAbsorbedError):
-            step(state, SMALL, np.random.default_rng(0))
+def transitions(n_vertices: int, series: BetaSeries, seed: int, runs: int):
+    """Consecutive trajectory rows (before, after) of seeded `run` calls."""
+    rng = np.random.default_rng(seed)
+    table = edge_rate_curve(n_vertices, 2, series)
+    for _ in range(runs):
+        traj = run(n_vertices, series, rng, record_trajectory=True,
+                   rate_table=table).trajectory
+        yield from zip(traj[:-1].tolist(), traj[1:].tolist())
 
-    def test_exhausted_error(self):
-        state = ChainState(10, 3, 5, 10)
-        with pytest.raises(ChainExhaustedError):
-            step(state, SMALL, np.random.default_rng(0))
+
+class TestStep:
+    """One removal of `run`, read off consecutive rows of its trajectory."""
 
     def test_single_patch_forces_debris_increment(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            state = ChainState(3, 1, 7, 12)
-            nxt = step(state, SMALL, rng)
-            assert nxt.debris == 8
-            assert nxt.removed == 4
+        seen = 0
+        for (_, patches, debris), (_, _, debris_next) in transitions(12, SMALL, 1, 300):
+            if patches == 1:
+                assert debris_next == debris + 1
+                seen += 1
+        assert seen > 0
 
     def test_bookkeeping_identities(self):
         # debris grows by 1 + shared, and patches + debris grows by exactly
         # the number of new 2-edge conversions
         rng = np.random.default_rng(2)
-        for _ in range(300):
+        for _ in range(30):
             n_vertices = int(rng.integers(5, 60))
-            removed = int(rng.integers(0, n_vertices))
-            state = ChainState(removed, int(rng.integers(1, 30)),
-                               int(rng.integers(0, 10)), n_vertices)
-            nxt = step(state, SMALL, rng)
-            shared = nxt.debris - state.debris - 1
-            assert shared >= 0
-            assert shared <= state.patches - 1
-            conversions = (nxt.patches + nxt.debris) - (state.patches + state.debris)
-            assert conversions >= 0
-            assert nxt.removed == state.removed + 1
+            seed = int(rng.integers(1 << 32))
+            for before, after in transitions(n_vertices, SMALL, seed, 10):
+                removed, patches, debris = before
+                assert patches >= 1
+                assert after[0] == removed + 1
+                shared = after[2] - debris - 1
+                assert 0 <= shared <= patches - 1
+                assert (after[1] + after[2]) - (patches + debris) >= 0
 
     def test_mean_increment_matches_formula(self):
-        n_vertices, removed, patches = 50, 10, 20
-        state = ChainState(removed, patches, 5, n_vertices)
-        rate = edge_rate(n_vertices, removed, 2, EX1)
-        expected = (-1.0 - (patches - 1) / (n_vertices - removed)
-                    + (n_vertices - removed - 1) * rate)
-        p = 1.0 / (n_vertices - removed)
-        var = (patches - 1) * p * (1 - p) + (n_vertices - removed - 1) * rate
-        rng = np.random.default_rng(4)
-        draws = 100_000
-        deltas = np.array([step(state, EX1, rng).patches - patches
-                           for _ in range(draws)])
-        assert abs(deltas.mean() - expected) <= 4.0 * math.sqrt(var / draws)
+        # the patch increments minus their conditional means form a
+        # martingale; its sum over every step stays within 4 sigma of zero
+        n_vertices = 50
+        rates = [exact_edge_rate(n_vertices, n, 2, SMALL.coeffs)
+                 for n in range(n_vertices)]
+        total = variance = 0.0
+        steps = transitions(n_vertices, SMALL, 4, 4000)
+        for (removed, patches, _), (_, patches_next, _) in steps:
+            left = n_vertices - removed
+            p = 1.0 / left
+            total += (patches_next - patches) - (-1.0 - (patches - 1) * p
+                                                 + (left - 1) * rates[removed])
+            variance += (patches - 1) * p * (1 - p) + (left - 1) * rates[removed]
+        assert variance > 1e4
+        assert abs(total) <= 4.0 * math.sqrt(variance)
 
     def test_last_vertex_absorbs(self):
         # with one vertex left every other patch shares it and no 2-edges remain
-        rng = np.random.default_rng(5)
-        state = ChainState(9, 7, 0, 10)
-        nxt = step(state, SMALL, rng)
-        assert nxt.patches == 0
-        assert nxt.debris == 7
+        n_vertices = 10
+        series = BetaSeries((0.0, 2.0, 3.0))
+        last = [(before, after)
+                for before, after in transitions(n_vertices, series, 5, 50)
+                if after[0] == n_vertices]
+        assert last
+        for (_, patches, debris), (_, patches_next, debris_next) in last:
+            assert patches_next == 0
+            assert debris_next == debris + patches
 
 
 class TestRun:
@@ -142,18 +140,25 @@ class TestRun:
             assert result.trajectory.shape == (result.removed + 1, 3)
 
     def test_matches_manual_step_loop(self):
-        seed = 123
-        recorded = run(40, SMALL, np.random.default_rng(seed),
-                       record_trajectory=True)
-        rng = np.random.default_rng(seed)
-        state = ChainState(0, int(rng.poisson(40 * SMALL.coeffs[1])),
-                           int(rng.poisson(40 * SMALL.coeffs[0])), 40)
-        manual = [[0, state.patches, state.debris]]
-        while not state.absorbed and state.removed < 40:
-            state = step(state, SMALL, rng)
-            manual.append([state.removed, state.patches, state.debris])
-        assert recorded.trajectory.tolist() == manual
-        assert (recorded.removed, recorded.debris) == (state.removed, state.debris)
+        # draw by draw against a plain loop of the chain step
+        for n_vertices, series in ((40, SMALL), (200, EX1), (60, EX2_SUB)):
+            rates = edge_rate_curve(n_vertices, 2, series)
+            for seed in range(5):
+                recorded = run(n_vertices, series, np.random.default_rng(seed),
+                               record_trajectory=True)
+                rng = np.random.default_rng(seed)
+                n = 0
+                y = int(rng.poisson(n_vertices * series.coeffs[1]))
+                z = int(rng.poisson(n_vertices * series.coeffs[0]))
+                manual = [[n, y, z]]
+                while y > 0 and n < n_vertices:
+                    shared = int(rng.binomial(y - 1, 1.0 / (n_vertices - n)))
+                    y += int(rng.poisson((n_vertices - n - 1) * rates[n])) - 1 - shared
+                    z += 1 + shared
+                    n += 1
+                    manual.append([n, y, z])
+                assert recorded.trajectory.tolist() == manual
+                assert (recorded.removed, recorded.debris) == (n, z)
 
     def test_rate_table_argument_changes_nothing(self):
         table = edge_rate_curve(60, 2, EX1)

@@ -42,6 +42,12 @@ class TestAnalyze:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["z_star"] == pytest.approx(0.5, abs=1e-10)
 
+    def test_non_finite_curve_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--beta", "0,1,1e308", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "curve.csv").exists()
+
     def test_usage_error_without_model(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--out", "x"])
@@ -197,6 +203,23 @@ class TestZdist:
                      "--replicas", "500", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[1] == "0.40000000000000002,500,1"
+
+    @pytest.mark.parametrize("flags", [
+        ["--z-star", "0.5", "--zeta", "0.5"],
+        ["--z-star", "0.9", "--zeta", "0.25,0.25"],
+        ["--z-star", "0.9", "--zeta", "0.95"],
+        ["--z-star", "0.9", "--zeta", "1.0"],
+        ["--z-star", "0.9", "--zeta=-0.5"],
+        ["--z-star", "0.9", "--zeta", "abc"],
+        ["--z-star", "nan"],
+        ["--z-star", "0.9", "--replicas", "0"],
+    ])
+    def test_bad_hand_entered_structure_is_usage_error(self, tmp_path, flags):
+        out = tmp_path / "z.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["zdist", *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_model_flags_derive_the_structure(self, tmp_path):
         # no tangencies for the graph model, so all mass sits at z_star

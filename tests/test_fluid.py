@@ -232,9 +232,8 @@ class TestSampleLimitFraction:
         assert abs(frac_z2 - want) < 0.02
 
     def test_unsorted_zeta_rejected(self):
-        crit = CriticalStructure(z_star=0.9, zeta=(0.4, 0.2), tangency_tolerance=1e-9)
         with pytest.raises(ValueError):
-            sample_limit_fraction(crit, np.random.default_rng(0))
+            CriticalStructure(z_star=0.9, zeta=(0.4, 0.2), tangency_tolerance=1e-9)
 
 
 class TestSimulateFluctuation:
@@ -301,7 +300,3 @@ class TestPatchOverlapAverage:
         want = 10.0 * (1200.0 * (1.0 - 0.91 ** 7) + 0.1 * math.log(0.1) - 0.1)
         got = patch_overlap_average(from_binomial_family(1200.0))
         assert got == pytest.approx(want, rel=1e-6)
-
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            patch_overlap_average(EX1, window=0.0)

@@ -52,6 +52,8 @@ class TestExperimentConfig:
             ExperimentConfig(EX1, (100,), 10, 0, delta=-1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(EX1, (), 10, 0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(EX1, (1000, 1000), 3, 0)
 
     def test_degenerate_model_rejected(self):
         # a sweep of an all-zero model absorbs instantly everywhere
@@ -72,6 +74,12 @@ class TestExperimentConfig:
                                 "record_trajectory": True, "workers": 2})
         assert cfg.series == EX1
         assert cfg.delta == 0.05 and cfg.record_trajectory and cfg.workers == 2
+
+    def test_from_json_rejects_non_boolean_flag(self):
+        doc = {"p": 0.1, "alpha": 0.5, "N_values": [50], "replicas": 2,
+               "master_seed": 1, "record_trajectory": "false"}
+        with pytest.raises(ValueError):
+            config_from_json(doc)
 
     def test_from_json_missing_keys(self):
         with pytest.raises(ValueError):

@@ -40,6 +40,16 @@ class TestWriters:
         assert loaded["nested"] == {"ok": True, "none": None}
         assert loaded["list"] == [1, 2.5]
 
+    def test_failed_format_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(str(path), ("a", "b"), [(1, 0.5), (2, float("nan"))])
+        assert not path.exists()
+        path = tmp_path / "t.json"
+        with pytest.raises(ValueError):
+            write_json({"ok": 1.0, "bad": [float("nan")]}, str(path))
+        assert not path.exists()
+
     def test_json_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             dumps_json({"bad": object()})

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hypercollapse import (BetaSeries, DegenerateModelError, critical_structure,
+from hypercollapse import (BetaSeries, CriticalStructure, DegenerateModelError,
+                           critical_structure,
                            deficiency, deficiency_grid, evaluate, evaluate_grid,
                            from_binomial_family, from_graph_params)
 from helpers import first_negative_root
@@ -136,9 +137,17 @@ class TestCriticalStructure:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            critical_structure(EX1, grid_points=10)
-        with pytest.raises(ValueError):
             critical_structure(EX1, tangency_tolerance=0.0)
+
+    @pytest.mark.parametrize("z_star, zeta, tol", [
+        (math.nan, (), 1e-9), (0.0, (), 1e-9), (1.5, (), 1e-9),
+        (0.5, (0.5,), 1e-9), (0.9, (0.25, 0.25), 1e-9), (0.9, (0.95,), 1e-9),
+        (0.9, (-0.5,), 1e-9), (0.9, (0.0,), 1e-9), (0.9, (math.nan,), 1e-9),
+        (0.9, (0.25,), 0.0), (0.9, (0.25,), math.inf),
+    ])
+    def test_structure_invariants(self, z_star, zeta, tol):
+        with pytest.raises(ValueError):
+            CriticalStructure(z_star=z_star, zeta=zeta, tangency_tolerance=tol)
 
     def test_graph_params_against_independent_root(self):
         # z_star solves alpha*t + log(1-t) = log(1-p); scan + bisection oracle
