@@ -14,14 +14,15 @@ from .montecarlo import (AggregateRow, ExperimentConfig, ExperimentResult,
                          derive_seed, run_replicas, stream)
 from .series import (BetaSeries, CriticalStructure, critical_alpha,
                      critical_structure, deficiency, deficiency_grid, evaluate,
-                     evaluate_grid, from_binomial_family, from_graph_params)
+                     evaluate_grid, from_binomial_family, from_graph_params,
+                     resolve_model)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BetaSeries", "CriticalStructure", "critical_structure", "critical_alpha",
     "deficiency", "deficiency_grid", "evaluate", "evaluate_grid",
-    "from_binomial_family", "from_graph_params",
+    "from_binomial_family", "from_graph_params", "resolve_model",
     "Hypergraph", "CollapseOutcome", "sample_poisson", "remove_vertex",
     "collapse_all", "identifiable_set", "read_hypergraph", "write_hypergraph",
     "ChainRun", "edge_rate_curve", "run",

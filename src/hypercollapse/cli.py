@@ -28,7 +28,7 @@ from . import montecarlo as mc
 from .fluid import (FluidModel, CURVE_COLUMNS, limit_fractions,
                     patch_overlap_average, sample_limit_fraction)
 from .series import (BetaSeries, CriticalStructure, critical_alpha,
-                     critical_structure, from_binomial_family, from_graph_params)
+                     critical_structure, from_binomial_family, resolve_model)
 from .serialize import write_csv, write_json
 
 _BETA_HELP = "comma-separated coefficients b0,b1,..."
@@ -41,20 +41,11 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _series_from_args(parser: argparse.ArgumentParser, args) -> BetaSeries:
-    if args.beta is not None:
-        if args.p is not None or args.alpha is not None:
-            parser.error("give either --beta or --p/--alpha, not both")
-        try:
-            coeffs = tuple(float(c) for c in args.beta.split(","))
-            return BetaSeries(coeffs)
-        except ValueError as exc:
-            parser.error(f"bad --beta: {exc}")
-    if args.p is None or args.alpha is None:
-        parser.error("model required: --beta or both --p and --alpha")
     try:
-        return from_graph_params(args.p, args.alpha)
+        beta = None if args.beta is None else [float(c) for c in args.beta.split(",")]
+        return resolve_model(beta, args.p, args.alpha)
     except ValueError as exc:
-        parser.error(f"bad --p/--alpha: {exc}")
+        parser.error(f"bad model flags: {exc}")
 
 
 def _ensure_dir(path: str) -> str:
@@ -149,7 +140,7 @@ def cmd_sweep(parser, args) -> int:
     if args.threads is not None:
         config = replace(config, workers=args.threads)
     if args.delta is not None:
-        config = replace(config, delta=args.delta, record_trajectory=True)
+        config = replace(config, delta=args.delta)
     outputs = doc.get("outputs", {})
     out_dir = _ensure_dir(args.out)
     results_csv = os.path.join(out_dir, outputs.get("results_csv", "results.csv"))
@@ -203,6 +194,8 @@ def cmd_zdist(parser, args) -> int:
                                      tangency_tolerance=args.tangency_tol)
         except ValueError as exc:
             parser.error(f"bad --z-star/--zeta: {exc}")
+    elif args.zeta:
+        parser.error("--zeta needs --z-star")
     else:
         series = _series_from_args(parser, args)
         crit = critical_structure(series, tangency_tolerance=args.tangency_tol)
@@ -278,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--z-star", type=float, default=None, dest="z_star",
                    help="threshold (overrides the model flags)")
-    p.add_argument("--zeta", default="", help="comma-separated tangency points")
+    p.add_argument("--zeta", default="",
+                   help="comma-separated tangency points (needs --z-star)")
     p.add_argument("--tangency-tol", type=float, default=1e-9, dest="tangency_tol")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replicas", type=int, default=10000, help="number of draws")

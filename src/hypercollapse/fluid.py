@@ -29,7 +29,7 @@ from scipy.integrate import quad
 
 from .series import (BetaSeries, CriticalStructure, T_CAP, critical_structure,
                      deficiency, deficiency_grid, evaluate, evaluate_grid)
-from .series import _check_t as _check_unit_t
+from .series import _check_grid, _check_t as _check_unit_t
 
 CURVE_COLUMNS = ("t", "x1", "x2", "x3", "f", "sigma_sq")
 # share of the removal range, at its end, that `patch_overlap_average` covers
@@ -41,8 +41,11 @@ def _check_t(t: float) -> float:
 
 
 def _as_state(x) -> tuple[float, float, float]:
-    x1, x2, x3 = (float(v) for v in x)
-    return x1, x2, x3
+    """(x1, x2, 1 - x1) of a state, which must have x1 < 1."""
+    x1, x2, _ = (float(v) for v in x)
+    if x1 >= 1.0:
+        raise ValueError("drift and diffusion are singular at x1 >= 1")
+    return x1, x2, 1.0 - x1
 
 
 def drift(x, series: BetaSeries) -> np.ndarray:
@@ -52,10 +55,7 @@ def drift(x, series: BetaSeries) -> np.ndarray:
     patch and the shared ones and gains the 2-edge conversions; the debris
     count gains the selected patch (the constant 1) plus the shared ones.
     """
-    x1, x2, _ = _as_state(x)
-    if x1 >= 1.0:
-        raise ValueError("drift is singular at x1 >= 1")
-    remaining = 1.0 - x1
+    x1, x2, remaining = _as_state(x)
     shared = x2 / remaining
     conversions = remaining * evaluate(series, x1, 2)
     return np.array([1.0, -1.0 - shared + conversions, 1.0 + shared])
@@ -63,10 +63,7 @@ def drift(x, series: BetaSeries) -> np.ndarray:
 
 def drift_jacobian(x, series: BetaSeries) -> np.ndarray:
     """Gradient of the drift field, in closed form."""
-    x1, x2, _ = _as_state(x)
-    if x1 >= 1.0:
-        raise ValueError("drift is singular at x1 >= 1")
-    remaining = 1.0 - x1
+    x1, x2, remaining = _as_state(x)
     d21 = (-x2 / remaining ** 2 - evaluate(series, x1, 2)
            + remaining * evaluate(series, x1, 3))
     return np.array([
@@ -83,16 +80,13 @@ def diffusion_factors(x, series: BetaSeries) -> tuple[np.ndarray, np.ndarray, np
     opposite signs, the second the 2-edge conversion noise into patches,
     and the third is the drift itself (the clock randomization direction).
     """
-    x1, x2, _ = _as_state(x)
-    if x1 >= 1.0:
-        raise ValueError("diffusion is singular at x1 >= 1")
+    x1, x2, remaining = _as_state(x)
     if x2 < 0.0:
         raise ValueError("negative patch density")
-    remaining = 1.0 - x1
-    v1 = math.sqrt(x2 / remaining) * np.array([0.0, 1.0, -1.0])
-    v2 = math.sqrt(remaining * evaluate(series, x1, 2)) * np.array([0.0, 1.0, 0.0])
-    v3 = drift(x, series)
-    return v1, v2, v3
+    shared = math.sqrt(x2 / remaining)
+    conversions = math.sqrt(remaining * evaluate(series, x1, 2))
+    return (np.array([0.0, shared, -shared]), np.array([0.0, conversions, 0.0]),
+            drift(x, series))
 
 
 def path(t: float, series: BetaSeries) -> np.ndarray:
@@ -107,10 +101,7 @@ def path(t: float, series: BetaSeries) -> np.ndarray:
 
 def path_grid(ts, series: BetaSeries) -> np.ndarray:
     """Vectorized `path`; rows are states, capped at t <= 1 - 1e-9."""
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and (ts.min() < 0.0 or ts.max() >= 1.0):
-        raise ValueError("grid points must be in [0, 1)")
-    ts = np.minimum(ts, T_CAP)
+    ts = np.minimum(_check_grid(ts), T_CAP)
     fs = deficiency_grid(series, ts)
     log1m = np.log1p(-ts)
     vals = evaluate_grid(series, ts, 0)
@@ -145,9 +136,7 @@ def limit_fractions(series: BetaSeries,
             "returning the no-early-stop branch",
             UserWarning, stacklevel=2)
     z = critical.z_star
-    zc = min(z, T_CAP)
-    edge_frac = evaluate(series, zc, 0) - (1.0 - zc) * math.log1p(-zc)
-    return z, edge_frac
+    return z, float(path(min(z, T_CAP), series)[2])
 
 
 def patch_overlap_average(series: BetaSeries) -> float:
@@ -227,14 +216,11 @@ def simulate_fluctuation(series: BetaSeries, t_end: float, n_steps: int,
     for k in range(n_steps):
         t = float(ts[k])
         x = path(t, series)
-        # tangency grazing can put x2 at -1e-18; the noise scale is zero there
-        x2 = max(float(x[1]), 0.0)
-        remaining = 1.0 - t
         jac = drift_jacobian(x, series)
-        scale1 = math.sqrt(x2 / remaining) * sqdt
-        scale2 = math.sqrt(remaining * evaluate(series, t, 2)) * sqdt
-        noise1 = rng.standard_normal(n_paths) * scale1
-        noise2 = rng.standard_normal(n_paths) * scale2
+        # tangency grazing can put x2 at -1e-18; the noise scale is zero there
+        v1, v2, _ = diffusion_factors((x[0], max(x[1], 0.0), x[2]), series)
+        noise1 = rng.standard_normal(n_paths) * (v1[1] * sqdt)
+        noise2 = rng.standard_normal(n_paths) * (v2[1] * sqdt)
         g = g + dt * (g @ jac.T)
         g[:, 1] += noise1 + noise2
         g[:, 2] -= noise1

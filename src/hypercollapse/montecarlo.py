@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .chain import edge_rate_curve, run
 from .errors import DegenerateModelError
 from .fluid import path_grid
-from .series import BetaSeries, T_CAP, from_graph_params
+from .series import BetaSeries, T_CAP, resolve_model
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,7 +65,7 @@ class ExperimentConfig:
     replicas: int
     master_seed: int
     delta: Optional[float] = None        # deviation threshold for dev_freq
-    record_trajectory: bool = False      # enables sup-deviation measurement
+    record_trajectory: bool = False      # enables sup-deviation; delta sets it
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -82,8 +83,10 @@ class ExperimentConfig:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.delta is not None and self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if self.delta is not None:
+            if self.delta <= 0.0:
+                raise ValueError("delta must be positive")
+            object.__setattr__(self, "record_trajectory", True)
 
 
 @dataclass(frozen=True)
@@ -130,10 +133,9 @@ def _sup_deviation(trajectory: np.ndarray, n_vertices: int,
     return float(max(dev_patches.max(), dev_debris.max()))
 
 
-def _replica_batch(coeffs: tuple[float, ...], n_vertices: int, lo: int, hi: int,
+def _replica_batch(series: BetaSeries, n_vertices: int, lo: int, hi: int,
                    master_seed: int, want_deviation: bool) -> list[ReplicaRecord]:
     """Run replicas lo..hi-1 for one vertex count (worker entry point)."""
-    series = BetaSeries(coeffs)
     table = edge_rate_curve(n_vertices, 2, series)
     records = []
     for replica in range(lo, hi):
@@ -157,27 +159,24 @@ def _replica_batch(coeffs: tuple[float, ...], n_vertices: int, lo: int, hi: int,
 
 
 def run_replicas(config: ExperimentConfig) -> ExperimentResult:
-    """Run the whole sweep; record order is canonical (n_vertices, replica)."""
-    coeffs = config.series.coeffs
-    records: list[ReplicaRecord] = []
-    if config.workers == 1:
-        for n in config.n_values:
-            records.extend(_replica_batch(coeffs, n, 0, config.replicas,
-                                          config.master_seed,
-                                          config.record_trajectory))
-    else:
+    """Run the whole sweep; record order is canonical (n_vertices, replica).
+
+    The sweep is one ordered list of (n, lo, hi) replica batches: one batch
+    per vertex count in process, or about four per worker across a pool.
+    """
+    chunk = config.replicas
+    if config.workers > 1:
         chunk = max(1, math.ceil(config.replicas / (4 * config.workers)))
-        jobs = []
+    jobs = [(n, lo, min(lo + chunk, config.replicas))
+            for n in config.n_values for lo in range(0, config.replicas, chunk)]
+    batch = partial(_replica_batch, config.series, master_seed=config.master_seed,
+                    want_deviation=config.record_trajectory)
+    if config.workers == 1:
+        batches = list(map(batch, *zip(*jobs)))
+    else:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for n in config.n_values:
-                for lo in range(0, config.replicas, chunk):
-                    hi = min(lo + chunk, config.replicas)
-                    jobs.append(pool.submit(_replica_batch, coeffs, n, lo, hi,
-                                            config.master_seed,
-                                            config.record_trajectory))
-            for job in jobs:
-                records.extend(job.result())
-        records.sort(key=lambda r: (r.n_vertices, r.replica))
+            batches = list(pool.map(batch, *zip(*jobs)))
+    records = [r for part in batches for r in part]
 
     aggregates = []
     for n in config.n_values:
@@ -185,7 +184,7 @@ def run_replicas(config: ExperimentConfig) -> ExperimentResult:
         vs = np.array([r.v_star_frac for r in group])
         debris = np.array([r.debris_frac for r in group])
         dev_freq = None
-        if config.record_trajectory and config.delta is not None:
+        if config.delta is not None:
             dev_freq = float(np.mean([r.deviation > config.delta for r in group]))
         aggregates.append(AggregateRow(
             n_vertices=n,
@@ -203,10 +202,7 @@ def concentration_curve(config: ExperimentConfig, delta: float) -> list[tuple[in
     The supremum runs over the recorded trajectory mapped to t = removed/N
     and stops at absorption.  Expected to decay with n_vertices.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    cfg = replace(config, record_trajectory=True, delta=float(delta))
-    result = run_replicas(cfg)
+    result = run_replicas(replace(config, delta=float(delta)))
     return [(row.n_vertices, row.dev_freq) for row in result.aggregates]
 
 
@@ -216,15 +212,10 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     The model comes either from explicit coefficients ("beta": [b0, ...])
     or from the graph shorthand ("p" and "alpha").  Recognized keys:
     N_values, replicas, master_seed, delta, record_trajectory, workers.
+    A key whose value is null counts as absent.
     """
-    if "beta" in doc and ("p" in doc or "alpha" in doc):
-        raise ValueError("config must give either 'beta' or 'p'/'alpha', not both")
-    if "beta" in doc:
-        series = BetaSeries(tuple(doc["beta"]))
-    elif "p" in doc and "alpha" in doc:
-        series = from_graph_params(doc["p"], doc["alpha"])
-    else:
-        raise ValueError("config needs either 'beta' or both 'p' and 'alpha'")
+    doc = {key: value for key, value in doc.items() if value is not None}
+    series = resolve_model(doc.get("beta"), doc.get("p"), doc.get("alpha"))
     try:
         n_values = tuple(int(n) for n in doc["N_values"])
         replicas = int(doc["replicas"])
@@ -240,7 +231,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         n_values=n_values,
         replicas=replicas,
         master_seed=master_seed,
-        delta=float(doc["delta"]) if doc.get("delta") is not None else None,
+        delta=float(doc["delta"]) if "delta" in doc else None,
         record_trajectory=record_trajectory,
         workers=int(doc.get("workers", 1)),
     )

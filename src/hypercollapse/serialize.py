@@ -30,11 +30,15 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV table; a cell that fails to format leaves no file behind."""
     text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, text)
 
 
 def dumps_json(obj, indent: int = 0) -> str:
@@ -68,6 +72,4 @@ def dumps_json(obj, indent: int = 0) -> str:
 
 def write_json(obj, path: str) -> None:
     """Write a JSON document; a value that fails to format leaves no file behind."""
-    text = dumps_json(obj) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, dumps_json(obj) + "\n")

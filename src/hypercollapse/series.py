@@ -91,50 +91,43 @@ def _check_t(t: float) -> float:
     return t
 
 
-def _falling(j: int, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= j - i
-    return out
+def _check_grid(ts) -> np.ndarray:
+    ts = np.asarray(ts, dtype=float)
+    if ts.size and (ts.min() < 0.0 or ts.max() >= 1.0):
+        raise ValueError("grid points must be in [0, 1)")
+    return ts
+
+
+def _horner(series: BetaSeries, t, order: int):
+    """Order-th derivative of b at t, a float or an array, by Horner's rule."""
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"order must be 0..3, got {order}")
+    acc = 0.0 * t
+    for j in range(series.degree, order - 1, -1):
+        acc = acc * t + series.coeffs[j] * math.perm(j, order)
+    return acc
 
 
 def evaluate(series: BetaSeries, t: float, order: int = 0) -> float:
-    """Evaluate the series or one of its first three derivatives at t in [0, 1).
-
-    Horner evaluation of the differentiated coefficient vector.
-    """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0..3, got {order}")
-    t = _check_t(t)
-    acc = 0.0
-    for j in range(series.degree, order - 1, -1):
-        acc = acc * t + series.coeffs[j] * _falling(j, order)
-    return acc
+    """Evaluate the series or one of its first three derivatives at t in [0, 1)."""
+    return _horner(series, _check_t(t), order)
 
 
 def evaluate_grid(series: BetaSeries, ts: np.ndarray, order: int = 0) -> np.ndarray:
     """Vectorized `evaluate` on an array of points."""
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"order must be 0..3, got {order}")
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and (ts.min() < 0.0 or ts.max() >= 1.0):
-        raise ValueError("grid points must be in [0, 1)")
-    acc = np.zeros_like(ts)
-    for j in range(series.degree, order - 1, -1):
-        acc = acc * ts + series.coeffs[j] * _falling(j, order)
-    return acc
+    return _horner(series, _check_grid(ts), order)
 
 
 def deficiency(series: BetaSeries, t: float) -> float:
     """f(t) = b'(t) + log(1 - t); f(0) equals b1 exactly."""
     t = _check_t(t)
-    return evaluate(series, t, 1) + math.log1p(-t)
+    return _horner(series, t, 1) + math.log1p(-t)
 
 
 def deficiency_grid(series: BetaSeries, ts: np.ndarray) -> np.ndarray:
     """Vectorized deficiency on an array of points."""
-    ts = np.asarray(ts, dtype=float)
-    return evaluate_grid(series, ts, 1) + np.log1p(-ts)
+    ts = _check_grid(ts)
+    return _horner(series, ts, 1) + np.log1p(-ts)
 
 
 def _bisect_root(f: Callable[[float], float], a: float, b: float) -> float:
@@ -188,6 +181,10 @@ def critical_structure(series: BetaSeries,
         raise ValueError("tangency_tolerance must be positive")
     if series.coeff(1) <= 0.0:
         raise DegenerateModelError("b1 = 0: no patches at the start, nothing collapses")
+    # b(1) and b'(1) bound every Horner partial sum of b and b' on [0, 1)
+    top = _horner(series, 1.0, 0), _horner(series, 1.0, 1)
+    if not all(map(math.isfinite, top)):
+        raise ValueError(f"b(1) and b'(1) must be finite, got {top}")
 
     ts = np.linspace(0.0, T_CAP, _SCAN_POINTS)
     fs = deficiency_grid(series, ts)
@@ -284,6 +281,17 @@ def from_graph_params(p: float, alpha: float) -> BetaSeries:
     if alpha < 0.0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     return BetaSeries((0.0, -math.log1p(-p), alpha / 2.0))
+
+
+def resolve_model(beta=None, p=None, alpha=None) -> BetaSeries:
+    """Series from coefficients `beta` or from `p` and `alpha`; None is absent."""
+    if beta is not None:
+        if p is not None or alpha is not None:
+            raise ValueError("give either beta or p and alpha, not both")
+        return BetaSeries(tuple(beta))
+    if p is None or alpha is None:
+        raise ValueError("model required: beta, or both p and alpha")
+    return from_graph_params(p, alpha)
 
 
 def from_binomial_family(alpha: float, base: float = 0.1, slope: float = 0.9,

@@ -162,6 +162,14 @@ class TestSweep:
         assert (out / "res.csv").read_bytes() == (out2 / "res.csv").read_bytes()
         assert (out / "agg.json").read_bytes() == (out2 / "agg.json").read_bytes()
 
+    def test_delta_alone_measures_deviations(self, tmp_path):
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps({"p": 0.1, "alpha": 0.5, "N_values": [200],
+                                     "replicas": 3, "master_seed": 1, "delta": 0.05}))
+        assert main(["sweep", str(cpath), "--out", str(tmp_path)]) == 0
+        agg = json.loads((tmp_path / "aggregates.json").read_text())
+        assert agg[0]["dev_freq"] is not None
+
     def test_bad_config_is_runtime_error(self, tmp_path, capsys):
         cpath = tmp_path / "config.json"
         cpath.write_text(json.dumps({"replicas": 2}))
@@ -219,6 +227,15 @@ class TestZdist:
         with pytest.raises(SystemExit) as exc:
             main(["zdist", *flags, "--out", str(out)])
         assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_zeta_without_z_star_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["zdist", "--p", "0.1", "--alpha", "0.5", "--zeta", "0.3",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--zeta needs --z-star" in capsys.readouterr().err
         assert not out.exists()
 
     def test_model_flags_derive_the_structure(self, tmp_path):

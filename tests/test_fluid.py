@@ -38,8 +38,9 @@ class TestDrift:
         assert drift((0.5, 0.2, 0.0), ZERO) == pytest.approx([1.0, -1.4, 1.4])
 
     def test_singularity(self):
-        with pytest.raises(ValueError):
-            drift((1.0, 0.2, 0.0), EX1)
+        for field in (drift, drift_jacobian, diffusion_factors):
+            with pytest.raises(ValueError, match="singular"):
+                field((1.0, 0.2, 0.0), EX1)
 
     def test_patch_drift_vanishes_at_tangency(self):
         series, _, zeta0 = tangent_model()

@@ -75,6 +75,24 @@ class TestExperimentConfig:
         assert cfg.series == EX1
         assert cfg.delta == 0.05 and cfg.record_trajectory and cfg.workers == 2
 
+    def test_from_json_delta_turns_on_trajectories(self):
+        cfg = config_from_json({"p": 0.1, "alpha": 0.5, "N_values": [200],
+                                "replicas": 3, "master_seed": 1, "delta": 0.05})
+        assert cfg.record_trajectory
+        dev_freq = run_replicas(cfg).aggregates[0].dev_freq
+        assert dev_freq is not None and 0.0 <= dev_freq <= 1.0
+
+    def test_from_json_model_rule(self):
+        base = {"N_values": [50], "replicas": 2, "master_seed": 1}
+        with pytest.raises(ValueError, match="not both"):
+            config_from_json({**base, "beta": [0.0, 0.5], "p": 0.1, "alpha": 0.5})
+        with pytest.raises(ValueError, match="model required"):
+            config_from_json({**base, "p": 0.1})
+        # a null value counts as absent
+        cfg = config_from_json({**base, "beta": None, "p": 0.1, "alpha": 0.5,
+                                "delta": None, "workers": None})
+        assert cfg.series == EX1 and cfg.delta is None and cfg.workers == 1
+
     def test_from_json_rejects_non_boolean_flag(self):
         doc = {"p": 0.1, "alpha": 0.5, "N_values": [50], "replicas": 2,
                "master_seed": 1, "record_trajectory": "false"}
@@ -108,9 +126,13 @@ class TestRunReplicas:
             assert r.stop_step == round(r.v_star_frac * r.n_vertices)
 
     def test_workers_do_not_change_results(self):
-        cfg1 = ExperimentConfig(EX1, (150, 250), 6, master_seed=3, workers=1)
-        cfg2 = ExperimentConfig(EX1, (150, 250), 6, master_seed=3, workers=2)
-        assert run_replicas(cfg1).records == run_replicas(cfg2).records
+        results = [run_replicas(ExperimentConfig(EX1, (150, 250), 7, master_seed=3,
+                                                 delta=0.02, workers=workers))
+                   for workers in (1, 2, 3)]
+        assert all(r.deviation is not None for r in results[0].records)
+        for other in results[1:]:
+            assert other.records == results[0].records
+            assert other.aggregates == results[0].aggregates
 
     def test_variance_shrinks_with_scale(self):
         cfg = ExperimentConfig(EX1, (1000, 10_000), 60, master_seed=11)

@@ -60,11 +60,13 @@ class TestEvaluate:
             evaluate(EX1, 0.5, 4)
 
     def test_grid_matches_scalar(self):
+        # the linear series has orders 2 and 3 above its degree: zeros on the grid
         ts = np.linspace(0.0, 0.99, 57)
-        for order in (0, 1, 2, 3):
-            grid = evaluate_grid(EX2_SUB, ts, order)
-            scalars = [evaluate(EX2_SUB, float(t), order) for t in ts]
-            assert np.allclose(grid, scalars, rtol=1e-15, atol=0.0)
+        for series in (EX2_SUB, BetaSeries((0.3, 0.5))):
+            for order in (0, 1, 2, 3):
+                grid = evaluate_grid(series, ts, order)
+                scalars = [evaluate(series, float(t), order) for t in ts]
+                assert grid.shape == ts.shape and np.array_equal(grid, scalars)
 
 
 class TestBetaSeries:
@@ -138,6 +140,12 @@ class TestCriticalStructure:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             critical_structure(EX1, tangency_tolerance=0.0)
+
+    @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 1e308), (1.7e308, 1.0, 1e307)])
+    def test_overflowing_series_rejected_before_the_scan(self, coeffs):
+        # b'(1) = sum j*bj overflows in the first, b(1) = sum bj alone in the second
+        with pytest.raises(ValueError, match="must be finite"):
+            critical_structure(BetaSeries(coeffs))
 
     @pytest.mark.parametrize("z_star, zeta, tol", [
         (math.nan, (), 1e-9), (0.0, (), 1e-9), (1.5, (), 1e-9),
