@@ -1,7 +1,6 @@
 """Poisson random hypergraphs, identifiability collapse, and their limits."""
 
 from .chain import ChainRun, edge_rate_curve, run
-from .errors import BracketError, DegenerateModelError
 from .fluid import (FluctuationSample, FluidModel, diffusion_factors, drift,
                     drift_jacobian, limit_fractions, patch_overlap_average,
                     path, path_grid, sample_limit_fraction, sigma_sq,
@@ -12,10 +11,10 @@ from .hypergraph import (CollapseOutcome, Hypergraph, collapse_all,
 from .montecarlo import (AggregateRow, ExperimentConfig, ExperimentResult,
                          ReplicaRecord, concentration_curve, config_from_json,
                          derive_seed, run_replicas, stream)
-from .series import (BetaSeries, CriticalStructure, critical_alpha,
-                     critical_structure, deficiency, deficiency_grid, evaluate,
-                     evaluate_grid, from_binomial_family, from_graph_params,
-                     resolve_model)
+from .series import (BetaSeries, BracketError, CriticalStructure,
+                     DegenerateModelError, critical_alpha, critical_structure,
+                     deficiency, deficiency_grid, evaluate, evaluate_grid,
+                     from_binomial_family, from_graph_params, resolve_model)
 
 __version__ = "0.1.0"
 

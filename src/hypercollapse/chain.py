@@ -13,19 +13,13 @@ total-variation test against `hypergraph.collapse_all`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .series import BetaSeries
-
-
-def _binomial(n: int, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= (n - i) / (i + 1)
-    return out
 
 
 def edge_rate_curve(n_vertices: int, size: int, series: BetaSeries) -> np.ndarray:
@@ -36,9 +30,10 @@ def edge_rate_curve(n_vertices: int, size: int, series: BetaSeries) -> np.ndarra
 
         N * sum_i b_{size+i} * C(n, i) / C(N, i + size)
 
-    computed with running products of ratios (no factorial overflow) and
-    exact for polynomial series.  For i beyond a given n the running
-    product hits an exact zero factor, so the truncation is automatic.
+    computed from N / C(N, size) by running products of ratios (no
+    factorial overflow) and exact for polynomial series.  For i beyond a
+    given n the running product hits an exact zero factor, so the
+    truncation is automatic.
     """
     N, j = int(n_vertices), int(size)
     if N < 1:
@@ -48,7 +43,7 @@ def edge_rate_curve(n_vertices: int, size: int, series: BetaSeries) -> np.ndarra
     n_arr = np.arange(N, dtype=float)
     if series.degree < j:
         return np.zeros(N)
-    r = np.full(N, N / _binomial(N, j))
+    r = np.full(N, N / math.comb(N, j))
     total = series.coeff(j) * r
     imax = min(series.degree - j, N - j)
     for i in range(1, imax + 1):
@@ -81,7 +76,7 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
         raise ValueError("need at least one vertex")
     if rate_table is None:
         rate_table = edge_rate_curve(N, 2, series)
-    rates = rate_table.tolist() if isinstance(rate_table, np.ndarray) else list(rate_table)
+    rates = np.asarray(rate_table, dtype=float).tolist()
     if len(rates) < N:
         raise ValueError("rate_table shorter than n_vertices")
 

@@ -48,18 +48,11 @@ def _series_from_args(parser: argparse.ArgumentParser, args) -> BetaSeries:
         parser.error(f"bad model flags: {exc}")
 
 
-def _ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def cmd_analyze(parser, args) -> int:
     series = _series_from_args(parser, args)
     model = FluidModel.build(series, t_max=args.t_max,
                              tangency_tolerance=args.tangency_tol)
-    out = _ensure_dir(args.out)
     curve = model.curve(args.grid)
-    write_csv(os.path.join(out, "curve.csv"), CURVE_COLUMNS, curve)
     v_frac, edge_frac = limit_fractions(series, model.critical)
     summary = {
         "beta": list(series.coeffs),
@@ -72,10 +65,11 @@ def cmd_analyze(parser, args) -> int:
         "t_max": model.t_max,
         "grid": int(args.grid),
     }
-    write_json(summary, os.path.join(out, "summary.json"))
+    write_csv(os.path.join(args.out, "curve.csv"), CURVE_COLUMNS, curve)
+    write_json(summary, os.path.join(args.out, "summary.json"))
     print(f"z_star={summary['z_star']:.6g} zeta={summary['zeta']} "
           f"v_frac={v_frac:.6g} edge_frac={edge_frac:.6g}")
-    print(f"wrote {out}/curve.csv and {out}/summary.json")
+    print(f"wrote {args.out}/curve.csv and {args.out}/summary.json")
     return 0
 
 
@@ -121,12 +115,12 @@ def cmd_chain(parser, args) -> int:
     result = mc.run_replicas(config)
     rows = [(r.replica, r.seed, r.v_star_frac, r.debris_frac, r.stop_step)
             for r in result.records]
-    write_csv(args.out, ("replica", "seed", "v_star_frac", "debris_frac", "stop_step"),
-              rows)
     if args.trajectory:
         rng = mc.stream(args.seed, args.n, 0)
         run0 = chain_mod.run(args.n, series, rng, record_trajectory=True)
         write_csv(args.trajectory, ("n", "Y", "Z"), run0.trajectory)
+    write_csv(args.out, ("replica", "seed", "v_star_frac", "debris_frac", "stop_step"),
+              rows)
     agg = result.aggregates[0]
     print(f"n_vertices={args.n} replicas={args.replicas} "
           f"mean_v={agg.mean_v:.6g} mean_debris={agg.mean_debris:.6g}; wrote {args.out}")
@@ -141,10 +135,10 @@ def cmd_sweep(parser, args) -> int:
         config = replace(config, workers=args.threads)
     if args.delta is not None:
         config = replace(config, delta=args.delta)
-    outputs = doc.get("outputs", {})
-    out_dir = _ensure_dir(args.out)
-    results_csv = os.path.join(out_dir, outputs.get("results_csv", "results.csv"))
-    aggregates_json = os.path.join(out_dir, outputs.get("aggregates_json", "aggregates.json"))
+    outputs = doc.get("outputs") or {}  # null counts as absent, as for every key
+    results_csv = os.path.join(args.out, outputs.get("results_csv") or "results.csv")
+    aggregates_json = os.path.join(args.out,
+                                   outputs.get("aggregates_json") or "aggregates.json")
     result = mc.run_replicas(config)
     rows = [(r.n_vertices, r.replica, r.seed, r.v_star_frac, r.debris_frac, r.stop_step)
             for r in result.records]
@@ -187,9 +181,7 @@ def cmd_zdist(parser, args) -> int:
         parser.error(f"--replicas must be at least 1, got {args.replicas}")
     if args.z_star is not None:
         try:
-            zeta = ()
-            if args.zeta:
-                zeta = tuple(sorted(float(z) for z in args.zeta.split(",")))
+            zeta = tuple(sorted(map(float, args.zeta.split(",")))) if args.zeta else ()
             crit = CriticalStructure(z_star=args.z_star, zeta=zeta,
                                      tangency_tolerance=args.tangency_tol)
         except ValueError as exc:

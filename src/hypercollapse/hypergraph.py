@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .series import BetaSeries
+from .serialize import _write_text
 
 
 class EdgeStats(NamedTuple):
@@ -243,10 +244,8 @@ def identifiable_set(h: Hypergraph) -> set[int]:
 def write_hypergraph(h: Hypergraph, path: str) -> None:
     """Write the line-oriented format: a {"N": n} header, then one JSON
     array of sorted vertex ids per edge instance (repeats = multiplicity)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps({"N": h.n_vertices}) + "\n")
-        for edge in h.instances():
-            fh.write(json.dumps(list(edge)) + "\n")
+    lines = [json.dumps({"N": h.n_vertices}), *(json.dumps(list(e)) for e in h.instances())]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_hypergraph(path: str) -> Hypergraph:

@@ -17,9 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain import edge_rate_curve, run
-from .errors import DegenerateModelError
 from .fluid import path_grid
-from .series import BetaSeries, T_CAP, resolve_model
+from .series import BetaSeries, DegenerateModelError, T_CAP, resolve_model
 
 _MASK64 = (1 << 64) - 1
 
@@ -206,26 +205,45 @@ def concentration_curve(config: ExperimentConfig, delta: float) -> list[tuple[in
     return [(row.n_vertices, row.dev_freq) for row in result.aggregates]
 
 
+_CONFIG_KEYS = ("beta", "p", "alpha", "N_values", "replicas", "master_seed", "delta",
+                "record_trajectory", "workers", "outputs")
+
+
+def _whole(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def config_from_json(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document.
 
     The model comes either from explicit coefficients ("beta": [b0, ...])
     or from the graph shorthand ("p" and "alpha").  Recognized keys:
-    N_values, replicas, master_seed, delta, record_trajectory, workers.
-    A key whose value is null counts as absent.
+    N_values, replicas, master_seed, delta, record_trajectory, workers,
+    and the CLI's outputs; any other key is an error.  The counts must be
+    whole numbers: 1e5 is one, 2.5, true and "3" are not.  A key whose
+    value is null counts as absent.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; known: {list(_CONFIG_KEYS)}")
     doc = {key: value for key, value in doc.items() if value is not None}
     series = resolve_model(doc.get("beta"), doc.get("p"), doc.get("alpha"))
     try:
-        n_values = tuple(int(n) for n in doc["N_values"])
-        replicas = int(doc["replicas"])
-        master_seed = int(doc["master_seed"])
+        n_values = tuple(_whole("N_values", n) for n in doc["N_values"])
+        replicas = _whole("replicas", doc["replicas"])
+        master_seed = _whole("master_seed", doc["master_seed"])
     except KeyError as missing:
         raise ValueError(f"config is missing required key {missing}") from None
     record_trajectory = doc.get("record_trajectory", False)
     if not isinstance(record_trajectory, bool):
         raise ValueError("record_trajectory must be true or false, "
                          f"got {record_trajectory!r}")
+    if not isinstance(doc.get("outputs", {}), dict):
+        raise ValueError(f"outputs must be a JSON object, got {doc['outputs']!r}")
     return ExperimentConfig(
         series=series,
         n_values=n_values,
@@ -233,5 +251,5 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         master_seed=master_seed,
         delta=float(doc["delta"]) if "delta" in doc else None,
         record_trajectory=record_trajectory,
-        workers=int(doc.get("workers", 1)),
+        workers=_whole("workers", doc.get("workers", 1)),
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ def _cell(value) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    """The package's one file writer; it creates the parent directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

@@ -22,8 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, DegenerateModelError
-
 # log(1 - t) blows up at 1; grids and evaluations are capped just below.
 T_CAP = 1.0 - 1e-9
 _SCAN_POINTS = 100_000   # threshold scan grid of `critical_structure`
@@ -31,6 +29,19 @@ _DIP_POINTS = 16384      # dip scan grid of `critical_alpha`
 _REL_TOL = 1e-12         # relative bracket width at which bisections stop
 _GOLDEN_XTOL = 1e-11     # bracket width at which golden-section search stops
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class DegenerateModelError(ValueError):
+    """The model has no size-1 edge density, so a collapse never starts."""
+
+
+class BracketError(RuntimeError):
+    """A bisection bracket does not straddle the target."""
+
+
+def _check_tolerance(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tangency_tolerance must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +90,7 @@ class CriticalStructure:
         if not (self.z_star <= 1.0 and all(a < b for a, b in zip(points, points[1:]))):
             raise ValueError("need 0 < zeta[0] < ... < zeta[-1] < z_star <= 1, "
                              f"got zeta={tuple(self.zeta)}, z_star={self.z_star}")
-        if not 0.0 < self.tangency_tolerance < math.inf:
-            raise ValueError("tangency_tolerance must be positive and finite, "
-                             f"got {self.tangency_tolerance}")
+        _check_tolerance(self.tangency_tolerance)
 
 
 def _check_t(t: float) -> float:
@@ -130,16 +139,17 @@ def deficiency_grid(series: BetaSeries, ts: np.ndarray) -> np.ndarray:
     return _horner(series, ts, 1) + np.log1p(-ts)
 
 
-def _bisect_root(f: Callable[[float], float], a: float, b: float) -> float:
-    """Refine a sign change with f(a) >= 0 > f(b) down to relative width 1e-12.
+def _bisect_root(f: Callable[[float], float], a: float, b: float, *,
+                 floor: float = _REL_TOL) -> float:
+    """Refine a sign change with f(a) >= 0 > f(b) to width 1e-12 * max(|b|, floor).
 
     Bisection and golden-section search are deliberately simple: the
     functions refined here are smooth and cheap, so robustness beats speed.
     """
     fa, fb = f(a), f(b)
     if not (fa >= 0.0 > fb):
-        raise ValueError(f"not a (>=0, <0) bracket: f({a})={fa}, f({b})={fb}")
-    while (b - a) > _REL_TOL * max(abs(b), _REL_TOL):
+        raise BracketError(f"not a (>=0, <0) bracket: f({a})={fa}, f({b})={fb}")
+    while (b - a) > _REL_TOL * max(abs(b), floor):
         mid = 0.5 * (a + b)
         if f(mid) < 0.0:
             b = mid
@@ -177,8 +187,7 @@ def critical_structure(series: BetaSeries,
     tolerance.  A refined minimum below -tolerance means the grid stepped
     over a crossing, in which case the threshold is moved there.
     """
-    if tangency_tolerance <= 0.0:
-        raise ValueError("tangency_tolerance must be positive")
+    _check_tolerance(tangency_tolerance)
     if series.coeff(1) <= 0.0:
         raise DegenerateModelError("b1 = 0: no patches at the start, nothing collapses")
     # b(1) and b'(1) bound every Horner partial sum of b and b' on [0, 1)
@@ -241,7 +250,7 @@ def critical_alpha(family: Callable[[float], BetaSeries],
     returns (alpha_c, dip location), the parameter where the dip touches
     zero and the tangency point itself.  Each dip is located on a grid of
     16384 points and refined by golden-section search; the bisection stops
-    at relative width 1e-12.
+    at width 1e-12 * max(|alpha|, 1).
     """
     lo, hi = float(alpha_lo), float(alpha_hi)
     if lo > hi:
@@ -256,16 +265,10 @@ def critical_alpha(family: Callable[[float], BetaSeries],
         raise BracketError(f"alpha_lo={lo} is not subcritical (dip minimum {m_lo} >= 0)")
     if m_hi <= 0.0:
         raise BracketError(f"alpha_hi={hi} is not supercritical (dip minimum {m_hi} <= 0)")
-    while (hi - lo) > _REL_TOL * max(abs(hi), 1.0):
-        mid = 0.5 * (lo + hi)
-        _, m_mid = _dip_minimum(family(mid))
-        if m_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha_c = 0.5 * (lo + hi)
-    t_c, _ = _dip_minimum(family(alpha_c))
-    return alpha_c, t_c
+    # +1 below the tangency, -1 at or above it (a zero minimum moves hi)
+    alpha_c = _bisect_root(lambda a: 1.0 if _dip_minimum(family(a))[1] < 0.0 else -1.0,
+                           lo, hi, floor=1.0)
+    return alpha_c, _dip_minimum(family(alpha_c))[0]
 
 
 def from_graph_params(p: float, alpha: float) -> BetaSeries:

@@ -10,6 +10,9 @@ from hypercollapse.cli import main
 from hypercollapse.serialize import format_float
 
 
+SMALL_SWEEP = {"p": 0.1, "alpha": 0.5, "N_values": [200], "replicas": 3, "master_seed": 1}
+
+
 def beta_flag(series) -> str:
     return ",".join(format_float(c) for c in series.coeffs)
 
@@ -47,6 +50,13 @@ class TestAnalyze:
         assert main(["analyze", "--beta", "0,1,1e308", "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not (out / "curve.csv").exists()
+
+    def test_failed_command_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["analyze", "--p", "0.1", "--alpha", "0.5", "--grid", "1",
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_without_model(self):
         with pytest.raises(SystemExit) as exc:
@@ -123,6 +133,14 @@ class TestChain:
         stop = int(lines[1].split(",")[4])
         assert len(tlines) == stop + 2
 
+    def test_writes_into_a_new_directory(self, tmp_path):
+        out = tmp_path / "new" / "sub" / "r.csv"
+        traj = tmp_path / "other" / "t.csv"
+        assert main(["chain", "--n", "200", "--p", "0.1", "--alpha", "0.5",
+                     "--out", str(out), "--trajectory", str(traj)]) == 0
+        assert out.read_text().startswith("replica,")
+        assert traj.read_text().startswith("n,Y,Z\n")
+
     def test_degenerate_model_is_runtime_error(self, tmp_path, capsys):
         # without size-1 edges every replica absorbs at once; the sweep
         # layer rejects the configuration outright
@@ -175,6 +193,31 @@ class TestSweep:
         cpath.write_text(json.dumps({"replicas": 2}))
         assert main(["sweep", str(cpath), "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("outputs, written", [
+        (None, ("results.csv", "aggregates.json")),
+        ({"results_csv": None, "aggregates_json": "agg.json"}, ("results.csv", "agg.json")),
+    ])
+    def test_null_outputs_count_as_absent(self, tmp_path, outputs, written):
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps({**SMALL_SWEEP, "outputs": outputs}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cpath), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({**SMALL_SWEEP, "deltaa": 0.05}, "unknown config keys ['deltaa']"),
+        ({**SMALL_SWEEP, "N_values": [200.7]}, "N_values must be a whole number, got 200.7"),
+        ({**SMALL_SWEEP, "replicas": 2.9}, "replicas must be a whole number, got 2.9"),
+        ([SMALL_SWEEP], "config must be a JSON object, got list"),
+    ])
+    def test_config_mistakes_are_runtime_errors(self, tmp_path, capsys, doc, message):
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(doc))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cpath), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCritical:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from helpers import first_negative_root
 
 
 EX1 = from_graph_params(0.1, 0.5)
+SMALL = {"p": 0.1, "alpha": 0.5, "N_values": [200], "replicas": 3, "master_seed": 1}
 
 
 class TestSeedDerivation:
@@ -97,6 +100,30 @@ class TestExperimentConfig:
         doc = {"p": 0.1, "alpha": 0.5, "N_values": [50], "replicas": 2,
                "master_seed": 1, "record_trajectory": "false"}
         with pytest.raises(ValueError):
+            config_from_json(doc)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({**SMALL, "deltaa": 0.05}, r"unknown config keys \['deltaa'\]"),
+        ({**SMALL, "outputs": ["res.csv"]}, "outputs must be a JSON object"),
+        ([SMALL], "config must be a JSON object, got list"),
+        ("config", "config must be a JSON object, got str"),
+    ])
+    def test_from_json_rejects_malformed_documents(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_json(doc)
+
+    def test_from_json_accepts_integral_floats(self):
+        cfg = config_from_json({"p": 0.1, "alpha": 0.5, "N_values": [1e5, 200.0],
+                                "replicas": 3.0, "master_seed": 7.0, "workers": 2.0})
+        assert cfg.n_values == (100_000, 200)
+        assert (cfg.replicas, cfg.master_seed, cfg.workers) == (3, 7, 2)
+        assert all(type(n) is int for n in cfg.n_values)
+
+    @pytest.mark.parametrize("key", ["N_values", "replicas", "master_seed", "workers"])
+    @pytest.mark.parametrize("bad", [2.9, True, "3", math.nan, math.inf])
+    def test_from_json_rejects_non_whole_counts(self, key, bad):
+        doc = {**SMALL, key: [bad] if key == "N_values" else bad}
+        with pytest.raises(ValueError, match=f"{key} must be a whole number"):
             config_from_json(doc)
 
     def test_from_json_missing_keys(self):
@@ -192,6 +219,18 @@ class TestCriticalAlpha:
     def test_degenerate_bracket_rejected_when_not_tangent(self):
         with pytest.raises(BracketError):
             critical_alpha(from_binomial_family, 1185.0, 1185.0)
+
+    def test_small_parameter_stops_at_the_absolute_floor(self):
+        # coefficients scaled by 1e4 put alpha_c near 0.119, where the
+        # bisection's width floor of 1e-12 (not 1e-12 * alpha) applies
+        def family(a):
+            return BetaSeries(tuple(1e4 * c for c in from_binomial_family(a).coeffs))
+
+        alpha_c, zeta0 = critical_alpha(family, 0.1185, 0.12)
+        assert 0.1185 < alpha_c < 0.12
+        assert abs(deficiency(family(alpha_c), zeta0)) <= 1e-9
+        unscaled, _ = critical_alpha(from_binomial_family, 1185.0, 1200.0)
+        assert alpha_c == pytest.approx(unscaled / 1e4, rel=1e-9)
 
     def test_bracket_errors(self):
         with pytest.raises(BracketError):

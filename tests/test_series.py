@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hypercollapse import (BetaSeries, CriticalStructure, DegenerateModelError,
-                           critical_structure,
+from hypercollapse import (BetaSeries, BracketError, CriticalStructure,
+                           DegenerateModelError, critical_structure,
                            deficiency, deficiency_grid, evaluate, evaluate_grid,
                            from_binomial_family, from_graph_params)
+from hypercollapse.series import _bisect_root
 from helpers import first_negative_root
 
 
@@ -140,6 +141,17 @@ class TestCriticalStructure:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             critical_structure(EX1, tangency_tolerance=0.0)
+        # checked first: the degenerate model would fail with its own message
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tangency_tolerance must be positive"):
+                critical_structure(BetaSeries((0.0, 0.0, 0.3)), tangency_tolerance=tol)
+
+    def test_bisection_rejects_a_bad_bracket(self):
+        with pytest.raises(BracketError):
+            _bisect_root(lambda t: t - 0.5, 0.0, 1.0)   # f(a) < 0 <= f(b): reversed
+        with pytest.raises(BracketError):
+            _bisect_root(lambda t: 1.0, 0.0, 1.0)       # no sign change
+        assert _bisect_root(lambda t: 0.5 - t, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 1e308), (1.7e308, 1.0, 1e307)])
     def test_overflowing_series_rejected_before_the_scan(self, coeffs):
