@@ -62,6 +62,30 @@ class ChainRun:
     trajectory: Optional[np.ndarray] = None  # rows (removed, patches, debris)
 
 
+def _steps(n: int, rates: np.ndarray, rng: np.random.Generator, patches: int,
+           debris: int, record_trajectory: bool):
+    """Step from the given counts to absorption: (removed, debris, trajectory).
+
+    The reference loop.  `chain_kernel.c` runs the same steps with the same
+    draws; tests and the kernel's load-time check compare the two.
+    """
+    rates = rates.tolist()
+    trajectory = [(0, patches, debris)] if record_trajectory else None
+    removed = 0
+    binomial = rng.binomial
+    poisson = rng.poisson
+    while patches > 0 and removed < n:
+        shared = int(binomial(patches - 1, 1.0 / (n - removed)))
+        new_patches = int(poisson((n - removed - 1) * rates[removed]))
+        patches = patches - 1 - shared + new_patches
+        debris = debris + 1 + shared
+        removed += 1
+        if record_trajectory:
+            trajectory.append((removed, patches, debris))
+    traj_arr = np.asarray(trajectory, dtype=np.int64) if record_trajectory else None
+    return removed, debris, traj_arr
+
+
 def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
         record_trajectory: bool = False,
         rate_table: Optional[np.ndarray] = None) -> ChainRun:
@@ -69,32 +93,26 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
 
     Starts with patches ~ Poisson(N*b1) and debris ~ Poisson(N*b0), steps
     until no patches remain.  Absorption happens by removed = N at the
-    latest: with one vertex left every remaining patch sits on it.
+    latest: with one vertex left every remaining patch sits on it.  With a
+    `numpy.random.Generator`, the steps run in the compiled loop of
+    `chain_kernel` when it loads, with the same draws and results.
     """
+    from . import chain_kernel
+
     N = int(n_vertices)
     if N < 1:
         raise ValueError("need at least one vertex")
     if rate_table is None:
         rate_table = edge_rate_curve(N, 2, series)
-    rates = np.asarray(rate_table, dtype=float).tolist()
+    rates = np.ascontiguousarray(rate_table, dtype=np.float64)
+    if rates.ndim != 1:
+        raise ValueError(f"rate_table must be one-dimensional, got shape {rates.shape}")
     if len(rates) < N:
         raise ValueError("rate_table shorter than n_vertices")
 
     patches = int(rng.poisson(N * series.coeff(1)))
     debris = int(rng.poisson(N * series.coeff(0)))
-    trajectory = [(0, patches, debris)] if record_trajectory else None
-
-    removed = 0
-    binomial = rng.binomial
-    poisson = rng.poisson
-    while patches > 0 and removed < N:
-        shared = int(binomial(patches - 1, 1.0 / (N - removed)))
-        new_patches = int(poisson((N - removed - 1) * rates[removed]))
-        patches = patches - 1 - shared + new_patches
-        debris = debris + 1 + shared
-        removed += 1
-        if record_trajectory:
-            trajectory.append((removed, patches, debris))
-
-    traj_arr = np.asarray(trajectory, dtype=np.int64) if record_trajectory else None
-    return ChainRun(removed, debris, traj_arr)
+    kernel = chain_kernel.load() if type(rng) is np.random.Generator else None
+    steps = _steps if kernel is None else kernel.steps
+    removed, debris, trajectory = steps(N, rates, rng, patches, debris, record_trajectory)
+    return ChainRun(removed, debris, trajectory)

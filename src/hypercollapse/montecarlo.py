@@ -9,6 +9,8 @@ sequentially or across worker processes.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -18,7 +20,7 @@ import numpy as np
 
 from .chain import edge_rate_curve, run
 from .fluid import path_grid
-from .series import BetaSeries, DegenerateModelError, T_CAP, resolve_model
+from .series import BetaSeries, DegenerateModelError, T_CAP, real, resolve_model
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,6 +57,15 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master_seed, *key)))
 
 
+def _whole(key: str, value) -> int:
+    """A count: integers and integral floats pass; fractions, booleans,
+    strings, NaN and inf do not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value % 1):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: the model, the vertex counts, and the replica budget."""
@@ -68,7 +79,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        if isinstance(self.n_values, str) or not isinstance(self.n_values, Iterable):
+            raise ValueError("N_values must be a list of whole numbers, "
+                             f"got {self.n_values!r}")
+        object.__setattr__(self, "n_values",
+                           tuple(_whole("N_values", n) for n in self.n_values))
+        for key in ("replicas", "master_seed", "workers"):
+            object.__setattr__(self, key, _whole(key, getattr(self, key)))
         if self.series.coeff(1) <= 0.0:
             raise DegenerateModelError(
                 "b1 = 0: every replica absorbs immediately, nothing to sweep")
@@ -83,8 +100,10 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.delta is not None:
-            if self.delta <= 0.0:
-                raise ValueError("delta must be positive")
+            delta = real("delta", self.delta)
+            if not 0.0 < delta < math.inf:
+                raise ValueError(f"delta must be positive and finite, got {delta}")
+            object.__setattr__(self, "delta", delta)
             object.__setattr__(self, "record_trajectory", True)
 
 
@@ -209,12 +228,6 @@ _CONFIG_KEYS = ("beta", "p", "alpha", "N_values", "replicas", "master_seed", "de
                 "record_trajectory", "workers", "outputs")
 
 
-def _whole(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def config_from_json(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON document.
 
@@ -233,9 +246,8 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     doc = {key: value for key, value in doc.items() if value is not None}
     series = resolve_model(doc.get("beta"), doc.get("p"), doc.get("alpha"))
     try:
-        n_values = tuple(_whole("N_values", n) for n in doc["N_values"])
-        replicas = _whole("replicas", doc["replicas"])
-        master_seed = _whole("master_seed", doc["master_seed"])
+        n_values, replicas, master_seed = (doc["N_values"], doc["replicas"],
+                                           doc["master_seed"])
     except KeyError as missing:
         raise ValueError(f"config is missing required key {missing}") from None
     record_trajectory = doc.get("record_trajectory", False)
@@ -249,7 +261,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         n_values=n_values,
         replicas=replicas,
         master_seed=master_seed,
-        delta=float(doc["delta"]) if "delta" in doc else None,
+        delta=doc.get("delta"),
         record_trajectory=record_trajectory,
-        workers=_whole("workers", doc.get("workers", 1)),
+        workers=doc.get("workers", 1),
     )

@@ -17,6 +17,7 @@ chance even though the mean flow survives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,6 +45,13 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"tangency_tolerance must be positive and finite, got {tol}")
 
 
+def real(name: str, value) -> float:
+    """`value` as a float; booleans, strings and other non-numbers are errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class BetaSeries:
     """Non-negative polynomial coefficients (b0, ..., bD) of the edge-density series."""
@@ -51,7 +59,7 @@ class BetaSeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(real("each beta coefficient", c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("need at least one coefficient")
         for c in coeffs:
@@ -277,8 +285,8 @@ def from_graph_params(p: float, alpha: float) -> BetaSeries:
     Each vertex is open with probability p, each of the N*alpha/2 expected
     edges joins a uniform pair; open vertices are the initial patches.
     """
-    p = float(p)
-    alpha = float(alpha)
+    p = real("p", p)
+    alpha = real("alpha", alpha)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must be in [0, 1), got {p}")
     if alpha < 0.0:
@@ -291,7 +299,11 @@ def resolve_model(beta=None, p=None, alpha=None) -> BetaSeries:
     if beta is not None:
         if p is not None or alpha is not None:
             raise ValueError("give either beta or p and alpha, not both")
-        return BetaSeries(tuple(beta))
+        try:
+            coeffs = tuple(beta)
+        except TypeError:
+            raise ValueError(f"beta must be a list of numbers, got {beta!r}") from None
+        return BetaSeries(coeffs)
     if p is None or alpha is None:
         raise ValueError("model required: beta, or both p and alpha")
     return from_graph_params(p, alpha)

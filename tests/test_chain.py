@@ -1,12 +1,16 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hypercollapse import (BetaSeries, collapse_all, edge_rate_curve,
-                           from_binomial_family, from_graph_params, run,
-                           sample_poisson)
+from hypercollapse import (BetaSeries, chain, chain_kernel, collapse_all,
+                           critical_alpha, edge_rate_curve, from_binomial_family,
+                           from_graph_params, run, sample_poisson)
 from helpers import (absorption_law, exact_edge_rate, first_negative_root,
                      tv_distance)
 
@@ -208,3 +212,141 @@ class TestRun:
                          rate_table=table)
             fractions.append(result.removed / n_vertices)
         assert abs(np.mean(fractions) - z_oracle) < 0.01
+
+
+def family_at_critical():
+    return from_binomial_family(critical_alpha(from_binomial_family, 1185.0, 1200.0)[0])
+
+
+@pytest.fixture
+def kernel():
+    loaded = chain_kernel.load()
+    if loaded is None:
+        pytest.skip("the compiled chain kernel is unavailable here")
+    return loaded
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """Call to point the kernel cache at an empty directory and forget the
+    loaded kernel; the real one is loaded again after the test."""
+    def reset():
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        chain_kernel.load.cache_clear()
+        return tmp_path / "hypercollapse"
+
+    yield reset
+    chain_kernel.load.cache_clear()
+
+
+def plain(state):
+    """A bit generator state with its arrays as lists, comparable with ==."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def both_paths(n_vertices, series, make_rng, rate_table=None):
+    """`run` with the compiled kernel, then with the Python loop; each result
+    comes with the bit generator state it left (or the error it raised)."""
+    outcomes = []
+    for load in (chain_kernel.load, lambda: None):
+        rng = make_rng()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_kernel, "load", load)
+            try:
+                result = run(n_vertices, series, rng, record_trajectory=True,
+                             rate_table=rate_table)
+            except (ValueError, OverflowError) as exc:
+                result = exc
+        outcomes.append((result, plain(rng.bit_generator.state)))
+    return outcomes
+
+
+class TestKernel:
+    """The compiled step loop against the Python reference, draw for draw."""
+
+    def test_matches_reference_draw_for_draw(self, kernel):
+        models = [EX1, from_graph_params(0.1, 0.2), EX2_SUB, family_at_critical(),
+                  BetaSeries((0.0, 0.01, 3.0)), BetaSeries((0.0, 2.0, 3.0))]
+        empty_start = full_absorption = 0
+        for series in models:
+            for n_vertices, seeds in ((10, range(12)), (1000, range(4)),
+                                      (100_000, range(2))):
+                table = edge_rate_curve(n_vertices, 2, series)
+                for seed in seeds:
+                    (got, got_state), (want, want_state) = both_paths(
+                        n_vertices, series, lambda: np.random.default_rng(seed), table)
+                    assert (got.removed, got.debris) == (want.removed, want.debris)
+                    assert got.trajectory.dtype == want.trajectory.dtype == np.int64
+                    assert np.array_equal(got.trajectory, want.trajectory)
+                    assert got_state == want_state
+                    empty_start += want.trajectory[0, 1] == 0
+                    full_absorption += want.removed == n_vertices
+        assert empty_start > 0 and full_absorption > 0
+
+    def test_other_bit_generator(self, kernel):
+        (got, got_state), (want, want_state) = both_paths(
+            1000, EX1, lambda: np.random.Generator(np.random.MT19937(11)))
+        assert np.array_equal(got.trajectory, want.trajectory)
+        assert got_state == want_state
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_bad_poisson_mean_raises_on_both_paths(self, kernel, bad):
+        table = edge_rate_curve(1000, 2, EX1)
+        table[3] = bad
+        (got, got_state), (want, want_state) = both_paths(
+            1000, EX1, lambda: np.random.default_rng(5), table)
+        assert type(got) is type(want) is ValueError
+        assert str(got) == str(want) and str(want).startswith("lam ")
+        assert got_state == want_state
+
+    def test_counts_beyond_int64_raise_on_both_paths(self, kernel):
+        (got, got_state), (want, want_state) = both_paths(
+            10, EX1, lambda: np.random.default_rng(1), np.full(10, 1e18))
+        assert type(got) is type(want) is OverflowError
+        assert got_state == want_state
+
+    def test_kernel_in_use_where_a_compiler_is(self, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        assert chain_kernel.load() is not None
+        monkeypatch.setattr(chain, "_steps", None)
+        assert run(200, EX1, np.random.default_rng(1)).removed > 0
+
+    def test_failed_build_falls_back_to_reference(self, kernel, fresh_loader, monkeypatch):
+        want = run(1000, EX1, np.random.default_rng(3), record_trajectory=True)
+
+        def fail(target):
+            raise subprocess.CalledProcessError(1, ["cc"], stderr="no compiler")
+
+        monkeypatch.setattr(chain_kernel, "_build", fail)
+        cache = fresh_loader()
+        got = run(1000, EX1, np.random.default_rng(3), record_trajectory=True)
+        assert chain_kernel.load() is None
+        assert (got.removed, got.debris) == (want.removed, want.debris)
+        assert np.array_equal(got.trajectory, want.trajectory)
+        assert os.listdir(cache) == []
+
+    def test_refuses_a_cache_others_can_write(self, fresh_loader):
+        shared = fresh_loader()
+        shared.mkdir()
+        shared.chmod(0o777)
+        assert chain_kernel.load() is None
+
+    def test_concurrent_first_builds(self, kernel, tmp_path):
+        # two processes race to build into one empty cache; importing the
+        # package alone must not load the kernel
+        script = ("import sys, hypercollapse\n"
+                  "assert 'hypercollapse.chain_kernel' not in sys.modules\n"
+                  "from hypercollapse import chain_kernel\n"
+                  "print(chain_kernel.load() is not None)\n")
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        procs = [subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                  stdout=subprocess.PIPE) for _ in range(2)]
+        outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert outputs == ["True\n", "True\n"]
+        built = os.listdir(tmp_path / "hypercollapse")
+        assert len(built) == 1 and built[0].endswith(".so")

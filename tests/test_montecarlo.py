@@ -57,6 +57,27 @@ class TestExperimentConfig:
             ExperimentConfig(EX1, (), 10, 0)
         with pytest.raises(ValueError):
             ExperimentConfig(EX1, (1000, 1000), 3, 0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(EX1, (100,), 10, 0, delta=math.nan)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_values", (200.7,)), ("n_values", (True,)), ("n_values", ("200",)),
+        ("replicas", 2.9), ("master_seed", 1.5), ("workers", math.inf),
+    ])
+    def test_library_counts_must_be_whole(self, key, value):
+        kwargs = {"series": EX1, "n_values": (200,), "replicas": 3, "master_seed": 0}
+        kwargs[key] = value
+        name = "N_values" if key == "n_values" else key
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            ExperimentConfig(**kwargs)
+
+    def test_library_accepts_numpy_and_integral_counts(self):
+        cfg = ExperimentConfig(EX1, (np.int64(200), 300.0), np.int64(3), np.uint8(7),
+                               workers=2.0)
+        assert cfg.n_values == (200, 300)
+        assert (cfg.replicas, cfg.master_seed, cfg.workers) == (3, 7, 2)
+        assert all(type(v) is int for v in (*cfg.n_values, cfg.replicas,
+                                            cfg.master_seed, cfg.workers))
 
     def test_degenerate_model_rejected(self):
         # a sweep of an all-zero model absorbs instantly everywhere
@@ -107,6 +128,17 @@ class TestExperimentConfig:
         ({**SMALL, "outputs": ["res.csv"]}, "outputs must be a JSON object"),
         ([SMALL], "config must be a JSON object, got list"),
         ("config", "config must be a JSON object, got str"),
+        ({**SMALL, "p": None, "alpha": None, "beta": ["0", "0.5"]},
+         "each beta coefficient must be a number, got '0'"),
+        ({**SMALL, "p": None, "alpha": None, "beta": [0.0, True]},
+         "each beta coefficient must be a number, got True"),
+        ({**SMALL, "p": None, "alpha": None, "beta": 5}, "beta must be a list of numbers"),
+        ({**SMALL, "p": "0.1"}, "p must be a number, got '0.1'"),
+        ({**SMALL, "alpha": [0.5]}, r"alpha must be a number, got \[0.5\]"),
+        ({**SMALL, "delta": "0.05"}, "delta must be a number, got '0.05'"),
+        ({**SMALL, "delta": math.nan}, "delta must be positive and finite, got nan"),
+        ({**SMALL, "N_values": 200}, "N_values must be a list of whole numbers"),
+        ({**SMALL, "N_values": "200"}, "N_values must be a list of whole numbers"),
     ])
     def test_from_json_rejects_malformed_documents(self, doc, message):
         with pytest.raises(ValueError, match=message):
