@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .series import (BetaSeries, CriticalStructure, T_CAP, critical_structure,
                      deficiency, deficiency_grid, evaluate, evaluate_grid)
@@ -147,6 +146,9 @@ def patch_overlap_average(series: BetaSeries) -> float:
     overlap during the final stretch of a supercritical collapse.
     Computed by quadrature on [0.9, 1), capped below 1.
     """
+    # imported here: scipy.integrate is most of the package's import time
+    from scipy.integrate import quad
+
     lo = 1.0 - _OVERLAP_WINDOW
     value, _ = quad(lambda t: deficiency(series, t), lo, T_CAP, limit=200)
     return value / _OVERLAP_WINDOW

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .series import BetaSeries
+from .series import BetaSeries, whole
 from .serialize import _write_text
 
 
@@ -40,7 +40,7 @@ class Hypergraph:
     __slots__ = ("n_vertices", "_edges")
 
     def __init__(self, n_vertices: int, edges: Iterable[Iterable[int]] = ()) -> None:
-        n_vertices = int(n_vertices)
+        n_vertices = whole("n_vertices", n_vertices)
         if n_vertices < 1:
             raise ValueError("need at least one vertex")
         self.n_vertices = n_vertices
@@ -49,7 +49,7 @@ class Hypergraph:
             self.add_edge(edge)
 
     def _canonical(self, vertices: Iterable[int]) -> tuple[int, ...]:
-        vs = [int(v) for v in vertices]
+        vs = list(map(int, vertices))
         edge = tuple(sorted(set(vs)))
         if len(edge) != len(vs):
             raise ValueError(f"duplicate vertex in edge {vs}")
@@ -249,13 +249,27 @@ def write_hypergraph(h: Hypergraph, path: str) -> None:
 
 
 def read_hypergraph(path: str) -> Hypergraph:
+    """Read the format of `write_hypergraph`.
+
+    N must be a whole number and each edge line a JSON array of integers
+    (no booleans, floats, strings or nesting); any other line raises
+    ValueError naming the path and the line number.
+    """
+    lineno = 1
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if not isinstance(header, dict) or "N" not in header:
-            raise ValueError(f"{path}: first line must be a JSON object with key 'N'")
-        h = Hypergraph(int(header["N"]))
-        for line in fh:
-            line = line.strip()
-            if line:
-                h.add_edge(json.loads(line))
+        try:
+            header = json.loads(fh.readline())
+            if not isinstance(header, dict) or "N" not in header:
+                raise ValueError("first line must be a JSON object with key 'N'")
+            h = Hypergraph(whole("N", header["N"]))
+            for lineno, line in enumerate(fh, 2):
+                if line.isspace():
+                    continue
+                edge = json.loads(line)
+                if type(edge) is not list or not set(map(type, edge)) <= {int}:
+                    raise ValueError(f"an edge must be a JSON array of integers, "
+                                     f"got {line.strip()}")
+                h.add_edge(edge)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
     return h

@@ -9,7 +9,6 @@ sequentially or across worker processes.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -20,7 +19,8 @@ import numpy as np
 
 from .chain import edge_rate_curve, run
 from .fluid import path_grid
-from .series import BetaSeries, DegenerateModelError, T_CAP, real, resolve_model
+from .series import (BetaSeries, DegenerateModelError, T_CAP, real, resolve_model,
+                     whole)
 
 _MASK64 = (1 << 64) - 1
 
@@ -57,15 +57,6 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master_seed, *key)))
 
 
-def _whole(key: str, value) -> int:
-    """A count: integers and integral floats pass; fractions, booleans,
-    strings, NaN and inf do not."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value % 1):
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: the model, the vertex counts, and the replica budget."""
@@ -83,9 +74,9 @@ class ExperimentConfig:
             raise ValueError("N_values must be a list of whole numbers, "
                              f"got {self.n_values!r}")
         object.__setattr__(self, "n_values",
-                           tuple(_whole("N_values", n) for n in self.n_values))
+                           tuple(whole("N_values", n) for n in self.n_values))
         for key in ("replicas", "master_seed", "workers"):
-            object.__setattr__(self, key, _whole(key, getattr(self, key)))
+            object.__setattr__(self, key, whole(key, getattr(self, key)))
         if self.series.coeff(1) <= 0.0:
             raise DegenerateModelError(
                 "b1 = 0: every replica absorbs immediately, nothing to sweep")
@@ -136,25 +127,18 @@ class ExperimentResult:
     aggregates: list[AggregateRow]
 
 
-def _sup_deviation(trajectory: np.ndarray, n_vertices: int,
-                   series: BetaSeries) -> float:
-    """Largest distance of the rescaled trajectory from the fluid path.
-
-    Rows are compared componentwise at t = removed/N, capped below 1; the
-    first component matches by construction, so only patches and debris
-    contribute.  The window is the recorded (pre-absorption) trajectory.
-    """
-    ts = np.minimum(trajectory[:, 0].astype(float) / n_vertices, T_CAP)
-    xs = path_grid(ts, series)
-    dev_patches = np.abs(trajectory[:, 1] / n_vertices - xs[:, 1])
-    dev_debris = np.abs(trajectory[:, 2] / n_vertices - xs[:, 2])
-    return float(max(dev_patches.max(), dev_debris.max()))
-
-
 def _replica_batch(series: BetaSeries, n_vertices: int, lo: int, hi: int,
                    master_seed: int, want_deviation: bool) -> list[ReplicaRecord]:
-    """Run replicas lo..hi-1 for one vertex count (worker entry point)."""
+    """Run replicas lo..hi-1 for one vertex count (worker entry point).
+
+    The deviation is the largest distance in patches or debris from the
+    fluid path, over the recorded rows at t = removed/N capped below 1.
+    Row k has removed = k, so one path table serves the batch: it grows
+    only when a replica outruns every earlier one, and since `path_grid`
+    works element by element its prefix equals a fresh call.
+    """
     table = edge_rate_curve(n_vertices, 2, series)
+    fluid = np.empty((0, 3))
     records = []
     for replica in range(lo, hi):
         seed = derive_seed(master_seed, n_vertices, replica)
@@ -163,7 +147,12 @@ def _replica_batch(series: BetaSeries, n_vertices: int, lo: int, hi: int,
                      record_trajectory=want_deviation, rate_table=table)
         deviation = None
         if want_deviation:
-            deviation = _sup_deviation(result.trajectory, n_vertices, series)
+            traj = result.trajectory
+            if len(traj) > len(fluid):
+                fluid = path_grid(np.minimum(np.arange(len(traj)) / n_vertices, T_CAP),
+                                  series)
+            deviation = float(np.abs(traj[:, 1:] / n_vertices
+                                     - fluid[:len(traj), 1:]).max())
         records.append(ReplicaRecord(
             n_vertices=n_vertices,
             replica=replica,

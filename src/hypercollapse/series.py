@@ -52,6 +52,15 @@ def real(name: str, value) -> float:
     return float(value)
 
 
+def whole(name: str, value) -> int:
+    """A count: integers and integral floats pass; fractions, booleans,
+    strings, NaN and inf do not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value % 1):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BetaSeries:
     """Non-negative polynomial coefficients (b0, ..., bD) of the edge-density series."""

@@ -336,9 +336,10 @@ class TestKernel:
 
     def test_concurrent_first_builds(self, kernel, tmp_path):
         # two processes race to build into one empty cache; importing the
-        # package alone must not load the kernel
+        # package alone must load neither the kernel nor scipy
         script = ("import sys, hypercollapse\n"
                   "assert 'hypercollapse.chain_kernel' not in sys.modules\n"
+                  "assert 'scipy' not in sys.modules\n"
                   "from hypercollapse import chain_kernel\n"
                   "print(chain_kernel.load() is not None)\n")
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),

@@ -105,6 +105,29 @@ class TestSampleCollapse:
         doc = json.loads(jpath.read_text())
         assert abs(doc["identified_frac"] - (1.0 - math.exp(-1.0))) < 0.05
 
+    @pytest.mark.parametrize("text, lineno", [
+        ('{"N": 2.7}\n[0]\n', 1),
+        ('{"N": true}\n', 1),
+        ('{"N": "2"}\n', 1),
+        ('[0]\n', 1),
+        ('{"N": 2}\n[0]\n[0.5]\n', 3),
+        ('{"N": 2}\n[1.9, 0]\n', 2),
+        ('{"N": 3}\n["2"]\n', 2),
+        ('{"N": 3}\n[false]\n', 2),
+        ('{"N": 3}\n[[0]]\n', 2),
+        ('{"N": 3}\n{"0": 1}\n', 2),
+        ('{"N": 3}\n[0,\n', 2),
+        ('{"N": 3}\n\n[0, 0]\n', 3),
+        ('{"N": 3}\n[3]\n', 2),
+    ])
+    def test_malformed_input_is_runtime_error(self, tmp_path, capsys, text, lineno):
+        hpath = tmp_path / "h.hgx"
+        hpath.write_text(text, encoding="utf-8")
+        out = tmp_path / "out" / "x.json"
+        assert main(["collapse", str(hpath), "--out", str(out)]) == 1
+        assert f"error: {hpath}, line {lineno}: " in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         code = main(["collapse", str(tmp_path / "nope.hgx"),
                      "--out", str(tmp_path / "x.json")])

@@ -7,13 +7,23 @@ from hypercollapse import (BetaSeries, BracketError, DegenerateModelError,
                            ExperimentConfig, concentration_curve,
                            config_from_json, critical_alpha,
                            critical_structure, deficiency, derive_seed,
-                           from_binomial_family, from_graph_params,
-                           run_replicas, stream)
+                           from_binomial_family, from_graph_params, path_grid,
+                           run, run_replicas, stream)
+from hypercollapse.series import T_CAP
 from helpers import first_negative_root
 
 
 EX1 = from_graph_params(0.1, 0.5)
 SMALL = {"p": 0.1, "alpha": 0.5, "N_values": [200], "replicas": 3, "master_seed": 1}
+
+
+def reference_deviation(series, n, seed):
+    """Sup distance of one replica from the fluid path, on its own path grid."""
+    traj = run(n, series, np.random.Generator(np.random.PCG64(seed)),
+               record_trajectory=True).trajectory
+    xs = path_grid(np.minimum(traj[:, 0].astype(float) / n, T_CAP), series)
+    return float(max(np.abs(traj[:, 1] / n - xs[:, 1]).max(),
+                     np.abs(traj[:, 2] / n - xs[:, 2]).max()))
 
 
 class TestSeedDerivation:
@@ -215,12 +225,18 @@ class TestConcentration:
         assert curve == [(200, 0.0)]
 
     def test_deviation_recorded_per_replica(self):
-        cfg = ExperimentConfig(EX1, (200,), 10, master_seed=4,
-                               record_trajectory=True, delta=0.05)
-        result = run_replicas(cfg)
-        for r in result.records:
-            assert r.deviation is not None and np.isfinite(r.deviation)
-        assert result.aggregates[0].dev_freq is not None
+        # (0, 2, 3) absorbs at removed = N, so the capped t = 1 row is compared;
+        # three workers split the replicas into one-replica batches
+        for series, n_values in [(EX1, (200,)), (BetaSeries((0.0, 2.0, 3.0)), (10, 37))]:
+            for workers in (1, 3):
+                cfg = ExperimentConfig(series, n_values, 10, master_seed=4,
+                                       delta=0.05, workers=workers)
+                result = run_replicas(cfg)
+                for r in result.records:
+                    assert r.deviation == reference_deviation(series, r.n_vertices, r.seed)
+                assert all(row.dev_freq is not None for row in result.aggregates)
+            if series != EX1:
+                assert any(r.stop_step == r.n_vertices for r in result.records)
 
     def test_delta_validation(self):
         cfg = ExperimentConfig(EX1, (200,), 5, master_seed=4)

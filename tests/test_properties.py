@@ -1,0 +1,80 @@
+"""Property tests: random models, seeds and files, derandomized so that
+every run draws the same examples."""
+
+import json
+import math
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph,
+                           read_hypergraph, run_replicas, write_hypergraph)
+from test_montecarlo import reference_deviation
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+coefficient = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+
+
+@PROPERTY
+@given(b0=coefficient, b1=st.floats(0.01, 3.0),
+       rest=st.lists(coefficient, max_size=2), n=st.integers(10, 300),
+       seed=st.integers(0, 2**63 - 1))
+def test_deviations_match_a_path_grid_per_replica(b0, b1, rest, n, seed):
+    series = BetaSeries((b0, b1, *rest))
+    result = run_replicas(ExperimentConfig(series, (n,), 3, seed, delta=0.05))
+    for r in result.records:
+        assert r.deviation == reference_deviation(series, n, r.seed)
+
+
+def read_text(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "h.hgx")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return read_hypergraph(path)
+
+
+# strings of digits look most like numbers; json.dumps(2.0) is "2.0", a
+# whole N, so whole floats are left out of the headers
+digits = st.text("0123456789.-e", max_size=3)
+not_whole = st.one_of(st.none(), st.booleans(), digits,
+                      st.floats().filter(lambda v: not math.isfinite(v) or v % 1),
+                      st.lists(st.integers(0, 3), max_size=2))
+not_int = st.one_of(st.none(), st.booleans(), digits, st.floats(),
+                    st.lists(st.integers(0, 3), max_size=2),
+                    st.dictionaries(digits, st.integers(), max_size=1))
+
+
+@PROPERTY
+@given(n=not_whole)
+def test_reader_rejects_a_header_that_is_not_whole(n):
+    with pytest.raises(ValueError, match="line 1: "):
+        read_text(json.dumps({"N": n}) + "\n[0]\n")
+
+
+@PROPERTY
+@given(bad=not_int, pos=st.integers(0, 2))
+def test_reader_rejects_a_vertex_that_is_not_an_integer(bad, pos):
+    edge = [0, 1]
+    edge.insert(pos, bad)
+    with pytest.raises(ValueError, match="line 3: "):
+        read_text('{"N": 4}\n[2]\n' + json.dumps(edge) + "\n")
+
+
+@st.composite
+def hypergraphs(draw):
+    n = draw(st.integers(1, 8))
+    edge = st.sets(st.integers(0, n - 1), max_size=min(n, 4))
+    return Hypergraph(n, draw(st.lists(edge, max_size=12)))
+
+
+@PROPERTY
+@given(h=hypergraphs())
+def test_reader_round_trips_the_writer(h):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "h.hgx")
+        write_hypergraph(h, path)
+        assert read_hypergraph(path) == h
