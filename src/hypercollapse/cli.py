@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--trajectory", help="write replica 0 trajectory CSV here")
     p.add_argument("--out", required=True, help="result CSV")
     p.set_defaults(func=cmd_chain)
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--delta", type=float, default=None,
                    help="deviation threshold (forces trajectory recording)")
-    p.add_argument("--threads", type=int, default=None, help="worker processes")
+    p.add_argument("--threads", type=int, default=None, help="worker threads")
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("critical", help="tangency parameter of a(base+slope*t)^power")

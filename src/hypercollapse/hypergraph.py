@@ -29,6 +29,13 @@ class EdgeStats(NamedTuple):
     total: int
 
 
+def _vertex_id(v) -> int:
+    """The one vertex-id rule: Python and numpy integers, no bool, float or str."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError(f"a vertex id must be an integer, got {v!r}")
+
+
 class Hypergraph:
     """Multiset of hyperedges over vertices 0..n_vertices-1.
 
@@ -49,7 +56,7 @@ class Hypergraph:
             self.add_edge(edge)
 
     def _canonical(self, vertices: Iterable[int]) -> tuple[int, ...]:
-        vs = list(map(int, vertices))
+        vs = [v if type(v) is int else _vertex_id(v) for v in vertices]
         edge = tuple(sorted(set(vs)))
         if len(edge) != len(vs):
             raise ValueError(f"duplicate vertex in edge {vs}")
@@ -104,9 +111,9 @@ def sample_poisson(n_vertices: int, series: BetaSeries,
     edge sits on an independently uniform j-subset, drawn with replacement
     across edges so repeated subsets accumulate multiplicity.
     """
-    if series.degree > n_vertices:
-        raise ValueError("series degree exceeds the vertex count")
     h = Hypergraph(n_vertices)
+    if series.degree > h.n_vertices:
+        raise ValueError("series degree exceeds the vertex count")
     for j, bj in enumerate(series.coeffs):
         count = int(rng.poisson(n_vertices * bj))
         for _ in range(count):
@@ -251,9 +258,9 @@ def write_hypergraph(h: Hypergraph, path: str) -> None:
 def read_hypergraph(path: str) -> Hypergraph:
     """Read the format of `write_hypergraph`.
 
-    N must be a whole number and each edge line a JSON array of integers
-    (no booleans, floats, strings or nesting); any other line raises
-    ValueError naming the path and the line number.
+    N must be a whole number and each edge line a JSON array of vertex ids
+    (integers: no booleans, floats, strings or nesting); any other line
+    raises ValueError naming the path and the line number.
     """
     lineno = 1
     with open(path, encoding="utf-8") as fh:
@@ -266,9 +273,8 @@ def read_hypergraph(path: str) -> Hypergraph:
                 if line.isspace():
                     continue
                 edge = json.loads(line)
-                if type(edge) is not list or not set(map(type, edge)) <= {int}:
-                    raise ValueError(f"an edge must be a JSON array of integers, "
-                                     f"got {line.strip()}")
+                if type(edge) is not list:
+                    raise ValueError(f"an edge must be a JSON array, got {line.strip()}")
                 h.add_edge(edge)
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: {exc}") from None

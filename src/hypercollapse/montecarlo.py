@@ -2,15 +2,15 @@
 
 Every replica draws from its own PCG64 generator seeded by a fixed
 integer-mixing function of (master_seed, n_vertices, replica), so results
-are independent of scheduling and identical whether replicas run
-sequentially or across worker processes.
+are independent of scheduling and identical for any number of worker
+threads; the compiled step loop runs outside the interpreter lock.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
@@ -67,7 +67,7 @@ class ExperimentConfig:
     master_seed: int
     delta: Optional[float] = None        # deviation threshold for dev_freq
     record_trajectory: bool = False      # enables sup-deviation; delta sets it
-    workers: int = 1
+    workers: int = 1                     # threads running replica batches
 
     def __post_init__(self) -> None:
         if isinstance(self.n_values, str) or not isinstance(self.n_values, Iterable):
@@ -77,6 +77,9 @@ class ExperimentConfig:
                            tuple(whole("N_values", n) for n in self.n_values))
         for key in ("replicas", "master_seed", "workers"):
             object.__setattr__(self, key, whole(key, getattr(self, key)))
+        if not isinstance(self.record_trajectory, bool):
+            raise ValueError("record_trajectory must be true or false, "
+                             f"got {self.record_trajectory!r}")
         if self.series.coeff(1) <= 0.0:
             raise DegenerateModelError(
                 "b1 = 0: every replica absorbs immediately, nothing to sweep")
@@ -127,9 +130,9 @@ class ExperimentResult:
     aggregates: list[AggregateRow]
 
 
-def _replica_batch(series: BetaSeries, n_vertices: int, lo: int, hi: int,
-                   master_seed: int, want_deviation: bool) -> list[ReplicaRecord]:
-    """Run replicas lo..hi-1 for one vertex count (worker entry point).
+def _replica_batch(series: BetaSeries, n_vertices: int, table: np.ndarray, lo: int,
+                   hi: int, master_seed: int, want_deviation: bool) -> list[ReplicaRecord]:
+    """Run replicas lo..hi-1 for one vertex count on its rate table `table`.
 
     The deviation is the largest distance in patches or debris from the
     fluid path, over the recorded rows at t = removed/N capped below 1.
@@ -137,7 +140,6 @@ def _replica_batch(series: BetaSeries, n_vertices: int, lo: int, hi: int,
     only when a replica outruns every earlier one, and since `path_grid`
     works element by element its prefix equals a fresh call.
     """
-    table = edge_rate_curve(n_vertices, 2, series)
     fluid = np.empty((0, 3))
     records = []
     for replica in range(lo, hi):
@@ -168,20 +170,22 @@ def _replica_batch(series: BetaSeries, n_vertices: int, lo: int, hi: int,
 def run_replicas(config: ExperimentConfig) -> ExperimentResult:
     """Run the whole sweep; record order is canonical (n_vertices, replica).
 
-    The sweep is one ordered list of (n, lo, hi) replica batches: one batch
-    per vertex count in process, or about four per worker across a pool.
+    The sweep is one ordered list of (n, table, lo, hi) batches sharing one
+    rate table per N: with one worker, one batch per N in the calling thread
+    (a pool of one slowed the sweeps); else about four per worker on threads.
     """
     chunk = config.replicas
     if config.workers > 1:
         chunk = max(1, math.ceil(config.replicas / (4 * config.workers)))
-    jobs = [(n, lo, min(lo + chunk, config.replicas))
+    tables = {n: edge_rate_curve(n, 2, config.series) for n in config.n_values}
+    jobs = [(n, tables[n], lo, min(lo + chunk, config.replicas))
             for n in config.n_values for lo in range(0, config.replicas, chunk)]
     batch = partial(_replica_batch, config.series, master_seed=config.master_seed,
                     want_deviation=config.record_trajectory)
     if config.workers == 1:
         batches = list(map(batch, *zip(*jobs)))
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
             batches = list(pool.map(batch, *zip(*jobs)))
     records = [r for part in batches for r in part]
 
@@ -239,10 +243,6 @@ def config_from_json(doc: dict) -> ExperimentConfig:
                                            doc["master_seed"])
     except KeyError as missing:
         raise ValueError(f"config is missing required key {missing}") from None
-    record_trajectory = doc.get("record_trajectory", False)
-    if not isinstance(record_trajectory, bool):
-        raise ValueError("record_trajectory must be true or false, "
-                         f"got {record_trajectory!r}")
     if not isinstance(doc.get("outputs", {}), dict):
         raise ValueError(f"outputs must be a JSON object, got {doc['outputs']!r}")
     return ExperimentConfig(
@@ -251,6 +251,6 @@ def config_from_json(doc: dict) -> ExperimentConfig:
         replicas=replicas,
         master_seed=master_seed,
         delta=doc.get("delta"),
-        record_trajectory=record_trajectory,
+        record_trajectory=doc.get("record_trajectory", False),
         workers=doc.get("workers", 1),
     )

@@ -3,14 +3,16 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hypercollapse import (BetaSeries, chain, chain_kernel, collapse_all,
-                           critical_alpha, edge_rate_curve, from_binomial_family,
-                           from_graph_params, run, sample_poisson)
+from hypercollapse import (BetaSeries, ExperimentConfig, chain, chain_kernel,
+                           collapse_all, critical_alpha, edge_rate_curve,
+                           from_binomial_family, from_graph_params, run,
+                           run_replicas, sample_poisson)
 from helpers import (absorption_law, exact_edge_rate, first_negative_root,
                      tv_distance)
 
@@ -334,12 +336,36 @@ class TestKernel:
         shared.chmod(0o777)
         assert chain_kernel.load() is None
 
+    def test_pool_threads_make_the_first_load(self, kernel, fresh_loader, monkeypatch):
+        # both pool threads call load() before either has a kernel, and the
+        # barrier holds them until both are building into one empty cache
+        config = ExperimentConfig(EX1, (2000,), 4, master_seed=9, delta=0.05, workers=2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_kernel, "load", lambda: None)
+            want = run_replicas(config)
+        barrier = threading.Barrier(2, timeout=60)
+        build = chain_kernel._build
+
+        def build_together(target):
+            barrier.wait()
+            build(target)
+
+        monkeypatch.setattr(chain_kernel, "_build", build_together)
+        cache = fresh_loader()
+        got = run_replicas(config)
+        assert (got.records, got.aggregates) == (want.records, want.aggregates)
+        assert chain_kernel.load() is not None
+        built = os.listdir(cache)
+        assert len(built) == 1 and built[0].endswith(".so")
+
     def test_concurrent_first_builds(self, kernel, tmp_path):
         # two processes race to build into one empty cache; importing the
-        # package alone must load neither the kernel nor scipy
+        # package alone must load neither the kernel, nor scipy, nor a
+        # process pool
         script = ("import sys, hypercollapse\n"
                   "assert 'hypercollapse.chain_kernel' not in sys.modules\n"
                   "assert 'scipy' not in sys.modules\n"
+                  "assert 'multiprocessing' not in sys.modules\n"
                   "from hypercollapse import chain_kernel\n"
                   "print(chain_kernel.load() is not None)\n")
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),

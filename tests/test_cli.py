@@ -128,6 +128,13 @@ class TestSampleCollapse:
         assert f"error: {hpath}, line {lineno}: " in capsys.readouterr().err
         assert not out.parent.exists()
 
+    def test_sample_needs_a_vertex_before_the_degree_check(self, tmp_path, capsys):
+        out = tmp_path / "h.hgx"
+        assert main(["sample", "--n", "0", "--p", "0.1", "--alpha", "0.5",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: need at least one vertex\n"
+        assert not out.exists()
+
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
         code = main(["collapse", str(tmp_path / "nope.hgx"),
                      "--out", str(tmp_path / "x.json")])

@@ -23,6 +23,16 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("vertex", [0.5, 1.0, True, "1", None])
+    def test_rejects_vertex_ids_that_are_not_integers(self, vertex):
+        with pytest.raises(ValueError, match="a vertex id must be an integer"):
+            Hypergraph(2, [[0, vertex]])
+
+    def test_accepts_numpy_integer_vertex_ids(self):
+        h = Hypergraph(2, [[np.int64(1)], [np.uint8(0), 1]])
+        assert h.edge_counts() == {(1,): 1, (0, 1): 1}
+        assert all(type(v) is int for edge in h.edge_counts() for v in edge)
+
     def test_equality_is_multiset_equality(self):
         a = Hypergraph(3, [(0, 1), (2,), (2,)])
         b = Hypergraph(3, [(2,), (0, 1), (2,)])
@@ -76,8 +86,10 @@ class TestSamplePoisson:
         assert abs(total - n * 1.3) <= 4.0 * np.sqrt(n * 1.3 / draws)
 
     def test_degree_must_fit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="series degree exceeds the vertex count"):
             sample_poisson(2, BetaSeries((0, 0, 0, 1.0)), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            sample_poisson(0, BetaSeries((0, 0.5, 1.0)), np.random.default_rng(0))
 
 
 class TestRemoveVertex:

@@ -1,14 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hypercollapse import (BetaSeries, BracketError, DegenerateModelError,
-                           ExperimentConfig, concentration_curve,
+                           ExperimentConfig, chain, concentration_curve,
                            config_from_json, critical_alpha,
                            critical_structure, deficiency, derive_seed,
-                           from_binomial_family, from_graph_params, path_grid,
-                           run, run_replicas, stream)
+                           edge_rate_curve, from_binomial_family,
+                           from_graph_params, montecarlo, path_grid, run,
+                           run_replicas, stream)
 from hypercollapse.series import T_CAP
 from helpers import first_negative_root
 
@@ -127,6 +129,11 @@ class TestExperimentConfig:
                                 "delta": None, "workers": None})
         assert cfg.series == EX1 and cfg.delta is None and cfg.workers == 1
 
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_library_rejects_non_boolean_flag(self, flag):
+        with pytest.raises(ValueError, match="record_trajectory must be true or false"):
+            ExperimentConfig(EX1, (50,), 2, 1, record_trajectory=flag)
+
     def test_from_json_rejects_non_boolean_flag(self):
         doc = {"p": 0.1, "alpha": 0.5, "N_values": [50], "replicas": 2,
                "master_seed": 1, "record_trajectory": "false"}
@@ -202,6 +209,21 @@ class TestRunReplicas:
         for other in results[1:]:
             assert other.records == results[0].records
             assert other.aggregates == results[0].aggregates
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_rate_table_per_vertex_count(self, monkeypatch, workers):
+        built = Counter()
+
+        def counted(n_vertices, size, series):
+            built[n_vertices] += 1
+            return edge_rate_curve(n_vertices, size, series)
+
+        # `run` would build its own table if the batch passed none
+        monkeypatch.setattr(montecarlo, "edge_rate_curve", counted)
+        monkeypatch.setattr(chain, "edge_rate_curve", counted)
+        run_replicas(ExperimentConfig(EX1, (150, 250, 350), 7, master_seed=3,
+                                      workers=workers))
+        assert built == {150: 1, 250: 1, 350: 1}
 
     def test_variance_shrinks_with_scale(self):
         cfg = ExperimentConfig(EX1, (1000, 10_000), 60, master_seed=11)

@@ -6,16 +6,30 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph,
-                           read_hypergraph, run_replicas, write_hypergraph)
+from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain,
+                           chain_kernel, edge_rate_curve, read_hypergraph,
+                           run_replicas, write_hypergraph)
 from test_montecarlo import reference_deviation
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
 coefficient = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+# models of degree <= 3 with size-1 edges, so that a sweep has something to do
+models = st.builds(lambda b0, b1, rest: BetaSeries((b0, b1, *rest)),
+                   coefficient, st.floats(0.01, 3.0), st.lists(coefficient, max_size=2))
+seeds = st.integers(0, 2**63 - 1)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    loaded = chain_kernel.load()
+    if loaded is None:
+        pytest.skip("the compiled chain kernel is unavailable here")
+    return loaded
 
 
 @PROPERTY
@@ -27,6 +41,34 @@ def test_deviations_match_a_path_grid_per_replica(b0, b1, rest, n, seed):
     result = run_replicas(ExperimentConfig(series, (n,), 3, seed, delta=0.05))
     for r in result.records:
         assert r.deviation == reference_deviation(series, n, r.seed)
+
+
+@PROPERTY
+@given(series=models, n_values=st.lists(st.integers(10, 300), min_size=1, max_size=2,
+                                        unique=True),
+       replicas=st.integers(1, 9), seed=seeds, delta=st.sampled_from([None, 0.05]))
+def test_worker_count_changes_nothing(series, n_values, replicas, seed, delta):
+    results = [run_replicas(ExperimentConfig(series, n_values, replicas, seed,
+                                             delta=delta, workers=workers))
+               for workers in (1, 2, 3)]
+    assert all((r.deviation is None) == (delta is None) for r in results[0].records)
+    for other in results[1:]:
+        assert other.records == results[0].records
+        assert other.aggregates == results[0].aggregates
+
+
+@PROPERTY
+@given(series=models, n=st.integers(2, 2000), patches=st.integers(0, 5000),
+       debris=st.integers(0, 100), seed=seeds)
+def test_kernel_matches_the_python_loop_draw_for_draw(kernel, series, n, patches,
+                                                      debris, seed):
+    rates = edge_rate_curve(n, 2, series)
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in "ab")
+    got = kernel.steps(n, rates, got_rng, patches, debris, True)
+    want = chain._steps(n, rates, want_rng, patches, debris, True)
+    assert got[:2] == want[:2]
+    assert np.array_equal(got[2], want[2])
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def read_text(text):
