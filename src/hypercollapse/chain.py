@@ -103,7 +103,8 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     if N < 1:
         raise ValueError("need at least one vertex")
     if rate_table is None:
-        rate_table = edge_rate_curve(N, 2, series)
+        # one vertex has no 2-subsets: no 2-edges, rate 0
+        rate_table = edge_rate_curve(N, 2, series) if N > 1 else np.zeros(1)
     rates = np.ascontiguousarray(rate_table, dtype=np.float64)
     if rates.ndim != 1:
         raise ValueError(f"rate_table must be one-dimensional, got shape {rates.shape}")

@@ -1,13 +1,18 @@
-/* Step loop of the reduced collapse chain (chain.run), compiled.
+/* The two random loops of the package, compiled: the step loop of the
+ * reduced collapse chain (chain.run) and the patch loop of the exact
+ * collapse (hypergraph.collapse_all).
  *
- * Each step draws with numpy's own random_binomial and random_poisson on
- * the Generator's bitgen_t, the routines Generator.binomial and
- * Generator.poisson call, in the same order and with the same arguments
- * as the Python loop in chain.py, so both consume the same stream.
- * Linked against numpy/random/lib/libnpyrandom.a; chain_kernel.py builds
- * and loads it.
+ * Each draws with numpy's own routines on the Generator's bitgen_t:
+ * random_binomial and random_poisson, which Generator.binomial and
+ * Generator.poisson call, and random_bounded_uint64_fill, which
+ * Generator.integers calls.  The draws come in the same order and with the
+ * same arguments as in the Python loops of chain.py and hypergraph.py, so
+ * both consume the same stream.  Linked against
+ * numpy/random/lib/libnpyrandom.a; chain_kernel.py builds and loads it.
  */
+#include <stdbool.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* numpy/random/bitgen.h */
@@ -32,8 +37,12 @@ typedef union {
 int64_t random_binomial(bitgen_t *bitgen_state, double p, int64_t n,
                         binomial_t *binomial);
 int64_t random_poisson(bitgen_t *bitgen_state, double lam);
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
+                                uint64_t rng, intptr_t cnt, bool use_masked,
+                                uint64_t *out);
 
-enum { OK = 0, LAM_NAN_OR_NEGATIVE = 1, LAM_TOO_LARGE = 2, COUNT_OVERFLOW = 3 };
+enum { OK = 0, LAM_NAN_OR_NEGATIVE = 1, LAM_TOO_LARGE = 2, COUNT_OVERFLOW = 3,
+       NO_MEMORY = 4, BAD_EDGES = 5 };
 
 /* Run from counts = {0, patches, debris} until no patches remain or
  * removed = n, leaving {removed, patches, debris} in counts.  rates holds n
@@ -87,4 +96,107 @@ int chain_steps(int64_t n, const double *rates, bitgen_t *bitgen,
     counts[1] = patches;
     counts[2] = debris;
     return status;
+}
+
+/* Collapse a hypergraph on n vertices until no patches remain.  Edge e
+ * has sizes[e] distinct vertex ids, listed in ids (n_ids in all) after
+ * those of edges 0..e-1.  Each step picks an entry of the bag of patch
+ * edges as Generator.integers(len) does (nothing is drawn for a bag of
+ * one); an entry whose edge has lost its last vertex is stale and leaves
+ * the bag, otherwise the edge's vertex is removed from every edge holding
+ * it.  An edge keeps only its remaining size and the XOR of its remaining
+ * ids, which is the vertex once one is left.  The removed vertices go to
+ * identified (n int64), in removal order; trajectory, if not NULL, holds
+ * (n + 1) * 3 int64 and receives (removed, patches, debris) before the
+ * first removal and after each.  Returns the number removed, -NO_MEMORY,
+ * or -BAD_EDGES, before any draw, when the sizes do not add up to n_ids
+ * or an id is outside [0, n). */
+int64_t collapse_steps(int64_t n, int64_t n_edges, const int64_t *sizes,
+                       int64_t n_ids, const int64_t *ids, bitgen_t *bitgen,
+                       int64_t *identified, int64_t *trajectory)
+{
+    int64_t listed = 0, patches = 0, debris = 0, removed = 0, bagged = 0;
+    for (int64_t e = 0; e < n_edges; e++) {
+        if (sizes[e] < 0 || sizes[e] > n_ids - listed)
+            return -BAD_EDGES;
+        listed += sizes[e];
+        patches += sizes[e] == 1;
+        debris += sizes[e] == 0;
+    }
+    if (listed != n_ids)
+        return -BAD_EDGES;
+    for (int64_t i = 0; i < n_ids; i++)
+        if (ids[i] < 0 || ids[i] >= n)
+            return -BAD_EDGES;
+    /* incidence of vertex v: edges[first[v]] .. edges[first[v + 1] - 1];
+     * every block has room for one more, as malloc(0) may return NULL */
+    int64_t *first = calloc((size_t)n + 1, sizeof *first);
+    int64_t *edges = malloc(((size_t)n_ids + 1) * sizeof *edges);
+    int64_t *left = malloc(((size_t)n_edges + 1) * sizeof *left);
+    int64_t *xor = malloc(((size_t)n_edges + 1) * sizeof *xor);
+    int64_t *bag = malloc(((size_t)n_edges + 1) * sizeof *bag);
+    if (!first || !edges || !left || !xor || !bag) {
+        removed = -NO_MEMORY;
+        goto done;
+    }
+    for (int64_t i = 0; i < n_ids; i++)
+        first[ids[i] + 1]++;
+    for (int64_t v = 0; v < n; v++)
+        first[v + 1] += first[v];
+    /* fill each list in edge order, advancing first[v] to its end ... */
+    for (int64_t e = 0, i = 0; e < n_edges; e++) {
+        int64_t x = 0;
+        for (int64_t end = i + sizes[e]; i < end; i++) {
+            edges[first[ids[i]]++] = e;
+            x ^= ids[i];
+        }
+        left[e] = sizes[e];
+        xor[e] = x;
+        if (sizes[e] == 1)
+            bag[bagged++] = e;
+    }
+    /* ... which is the start of the next one */
+    memmove(first + 1, first, (size_t)n * sizeof *first);
+    first[0] = 0;
+
+    if (trajectory) {
+        trajectory[0] = 0;
+        trajectory[1] = patches;
+        trajectory[2] = debris;
+    }
+    while (bagged > 0) {
+        uint64_t k = 0;
+        random_bounded_uint64_fill(bitgen, 0, (uint64_t)(bagged - 1), 1, false, &k);
+        int64_t e = bag[k];
+        if (left[e] != 1) {
+            bag[k] = bag[--bagged];
+            continue;
+        }
+        int64_t v = xor[e];
+        for (int64_t i = first[v]; i < first[v + 1]; i++) {
+            int64_t other = edges[i];
+            xor[other] ^= v;
+            if (--left[other] == 1) {
+                bag[bagged++] = other;
+                patches++;
+            } else if (left[other] == 0) {
+                patches--;
+                debris++;
+            }
+        }
+        identified[removed++] = v;
+        if (trajectory) {
+            int64_t *row = trajectory + 3 * removed;
+            row[0] = removed;
+            row[1] = patches;
+            row[2] = debris;
+        }
+    }
+done:
+    free(first);
+    free(edges);
+    free(left);
+    free(xor);
+    free(bag);
+    return removed;
 }

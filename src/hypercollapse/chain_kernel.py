@@ -1,16 +1,18 @@
-"""Compiled step loop of `chain.run`: build on first use, cache, check, load.
+"""The compiled random loops: build on first use, cache, check, load.
 
-`chain_kernel.c` is compiled with the system C compiler (`cc`) and linked
-against numpy's `libnpyrandom.a`, so each step draws with the routines
-`Generator.binomial` and `Generator.poisson` use, on the Generator's own
-bit generator: the random stream and every output stay the same.  The
-library is cached per user in `$XDG_CACHE_HOME/hypercollapse` (default
-`~/.cache/hypercollapse`), keyed by the numpy version, the platform and a
-hash of the source.  `load()` returns None, and `chain.run` keeps its
-Python loop, when there is no compiler, the build fails, the cache
-directory is not private to this user, or the loaded library does not
-reproduce the Python loop draw for draw on a fixed chain.  The reason is
-logged to the `hypercollapse.chain_kernel` logger.
+`chain_kernel.c` holds the step loop of `chain.run` and the patch loop of
+`hypergraph.collapse_all`.  It is compiled with the system C compiler
+(`cc`) and linked against numpy's `libnpyrandom.a`, so each loop draws
+with the routines `Generator.binomial`, `Generator.poisson` and
+`Generator.integers` use, on the Generator's own bit generator: the random
+stream and every output stay the same.  The library is cached per user in
+`$XDG_CACHE_HOME/hypercollapse` (default `~/.cache/hypercollapse`), keyed
+by the numpy version, the platform and a hash of the source.  `load()`
+returns None, and both callers keep their Python loops, when there is no
+compiler, the build fails, the cache directory is not private to this
+user, or the loaded library does not reproduce the Python loops draw for
+draw on a fixed chain and a fixed hypergraph.  The reason is logged to the
+`hypercollapse.chain_kernel` logger.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import stat
 import subprocess
 import sysconfig
 import tempfile
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,21 +41,40 @@ _FAILURES = {
     1: (ValueError, "lam < 0 or lam is NaN"),
     2: (ValueError, "lam value too large"),
     3: (OverflowError, "chain counts exceed the int64 range"),
+    4: (MemoryError, "no memory for the collapse"),
+    5: (ValueError, "edge sizes do not match the vertex ids, or an id is out of range"),
 }
+
+# a private prototype, so that no other user of ctypes.pythonapi is affected
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 log = logging.getLogger(__name__)
 
 
 class _SelfCheckError(RuntimeError):
-    """The compiled loop drew differently from the Python loop."""
+    """A compiled loop drew differently from its Python loop."""
+
+
+def _raise(status: int) -> None:
+    error, message = _FAILURES[status]
+    raise error(message)
+
+
+def _bitgen(bit_generator: np.random.BitGenerator) -> int:
+    """Address of the bit generator's bitgen_t: its `ctypes.bit_generator`,
+    without the function pointers that attribute builds on first use."""
+    return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """A loaded library; `steps` is a drop-in for `chain._steps`."""
+    """A loaded library; `steps` is a drop-in for `chain._steps`, and
+    `collapse` for `hypergraph._collapse_steps`."""
 
     path: str
-    _fn: ctypes._CFuncPtr = field(repr=False, compare=False)
+    _steps: ctypes._CFuncPtr = field(repr=False, compare=False)
+    _collapse: ctypes._CFuncPtr = field(repr=False, compare=False)
 
     def steps(self, n: int, rates: np.ndarray, rng: np.random.Generator,
               patches: int, debris: int, record_trajectory: bool):
@@ -61,14 +83,31 @@ class Kernel:
         trajectory = np.empty((n + 1, 3), dtype=np.int64) if record_trajectory else None
         bitgen = rng.bit_generator
         with bitgen.lock:
-            status = self._fn(n, rates.ctypes.data, bitgen.ctypes.bit_generator, counts,
-                              None if trajectory is None else trajectory.ctypes.data,
-                              _LAM_MAX)
+            status = self._steps(n, rates.ctypes.data, _bitgen(bitgen), counts,
+                                 None if trajectory is None else trajectory.ctypes.data,
+                                 _LAM_MAX)
         if status:
-            error, message = _FAILURES[status]
-            raise error(message)
+            _raise(status)
         removed, _, debris = counts
         return removed, debris, None if trajectory is None else trajectory[:removed + 1]
+
+    def collapse(self, n: int, sizes: array, ids: array, rng: np.random.Generator,
+                 record_trajectory: bool):
+        """Collapse to no patches; `sizes` and `ids` are int64 arrays ("q")."""
+        if sizes.typecode != "q" or ids.typecode != "q":
+            raise TypeError("sizes and ids must be arrays of typecode 'q'")
+        identified = array("q", bytes(8 * n))
+        trajectory = np.empty((n + 1, 3), dtype=np.int64) if record_trajectory else None
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            removed = self._collapse(n, len(sizes), sizes.buffer_info()[0],
+                                     len(ids), ids.buffer_info()[0], _bitgen(bitgen),
+                                     identified.buffer_info()[0],
+                                     None if trajectory is None else trajectory.ctypes.data)
+        if removed < 0:
+            _raise(-removed)
+        return (identified[:removed].tolist(),
+                None if trajectory is None else trajectory[:removed + 1])
 
 
 def _cache_dir() -> str:
@@ -117,13 +156,17 @@ def _library() -> str:
 
 
 def _self_check(kernel: Kernel) -> None:
-    """Run a fixed chain through the kernel and through the Python loop.
+    """Run a fixed chain and a fixed collapse through the kernel and
+    through the Python loops.
 
     Many patches on few vertices take numpy's BTPE binomial branch, few
     take its inversion branch, the last step its p = 1 case; the means
-    cross 10, where numpy's Poisson sampler switches method.
+    cross 10, where numpy's Poisson sampler switches method.  The collapse
+    leaves stale entries in its bag, and its bag falls to one entry, where
+    `Generator.integers(1)` draws nothing.
     """
     from .chain import _steps
+    from .hypergraph import _collapse_steps
 
     n = 24
     rates = np.linspace(0.2, 2.0, n)
@@ -135,31 +178,45 @@ def _self_check(kernel: Kernel) -> None:
                 or got_rng.bit_generator.state != want_rng.bit_generator.state):
             raise _SelfCheckError(f"{kernel.path} drew differently from the Python "
                                  f"loop from {patches} patches")
+    # three patches on vertex 0 leave two stale entries; 6 and 7 stay
+    edges = [(), (0,), (0,), (0,), (1,), (0, 2), (2, 3), (4, 5), (6, 7), (1, 3, 4), (5, 6, 7)]
+    sizes = array("q", map(len, edges))
+    ids = array("q", [v for e in edges for v in e])
+    got_rng, want_rng = (np.random.Generator(np.random.PCG64(20_011)) for _ in "ab")
+    got = kernel.collapse(8, sizes, ids, got_rng, True)
+    want = _collapse_steps(8, sizes, ids, want_rng, True)
+    if (got[0] != want[0] or not np.array_equal(got[1], want[1])
+            or got_rng.bit_generator.state != want_rng.bit_generator.state):
+        raise _SelfCheckError(f"{kernel.path} collapsed differently from the Python loop")
 
 
 @functools.cache
 def load() -> Optional[Kernel]:
-    """The compiled step loop, or None when `chain.run` uses the Python loop."""
+    """The compiled loops, or None when `chain.run` and `collapse_all` use
+    their Python loops."""
     if os.name != "posix":
-        log.info("no compiled chain kernel on %s; using the Python loop", os.name)
+        log.info("no compiled chain kernel on %s; using the Python loops", os.name)
         return None
     try:
         path = _library()
         lib = ctypes.CDLL(path)
-        fn = lib.chain_steps
-        fn.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_double]
-        fn.restype = ctypes.c_int
-        kernel = Kernel(path, fn)
+        steps, collapse = lib.chain_steps, lib.collapse_steps
+        steps.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+                          ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_double]
+        collapse.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+        steps.restype = ctypes.c_int
+        collapse.restype = ctypes.c_int64
+        kernel = Kernel(path, steps, collapse)
         _self_check(kernel)
     except subprocess.CalledProcessError as exc:
-        log.info("chain kernel build failed, using the Python loop:\n%s", exc.stderr)
+        log.info("chain kernel build failed, using the Python loops:\n%s", exc.stderr)
         return None
     except (OSError, subprocess.SubprocessError) as exc:
-        log.info("no chain kernel, using the Python loop: %s", exc)
+        log.info("no chain kernel, using the Python loops: %s", exc)
         return None
     except _SelfCheckError as exc:
-        log.warning("%s; using the Python loop", exc)
+        log.warning("%s; using the Python loops", exc)
         return None
     log.info("chain kernel loaded from %s", path)
     return kernel

@@ -7,14 +7,23 @@ edge, so the total edge count is conserved by every operation here; that
 conservation is the bookkeeping backbone of the whole model.
 
 This module is the ground truth the reduced chain is validated against,
-so it favors exactness and simplicity over scale.
+so it keeps the random stream of its plain per-edge definitions: a
+subset is scalar `rng.integers(N)` draws until it has enough distinct
+ids, a collapse step is one `rng.integers(len(bag))` pick.  Subsets are
+drawn in bulk, on the rule that `rng.integers(N, size=k)` gives the same
+draws and leaves the same bit-generator state as k scalar calls (numpy
+draws bounded integers one at a time from the bit generator's buffered
+words either way); the patch loop runs compiled in `chain_kernel` when
+it loads, on the same draws.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -74,10 +83,10 @@ class Hypergraph:
         return dict(self._edges)
 
     def instances(self) -> list[tuple[int, ...]]:
-        """Edge instances expanded by multiplicity, in canonical order."""
-        out = []
-        for edge in sorted(self._edges, key=lambda e: (len(e), e)):
-            out.extend([edge] * self._edges[edge])
+        """Edge instances expanded by multiplicity, in canonical order:
+        by size, then lexicographically."""
+        out = sorted(self._edges.elements())
+        out.sort(key=len)  # stable: each size keeps its lexicographic order
         return out
 
     def stats(self) -> EdgeStats:
@@ -116,16 +125,43 @@ def sample_poisson(n_vertices: int, series: BetaSeries,
         raise ValueError("series degree exceeds the vertex count")
     for j, bj in enumerate(series.coeffs):
         count = int(rng.poisson(n_vertices * bj))
-        for _ in range(count):
-            h.add_edge(_uniform_subset(n_vertices, j, rng))
+        if count:
+            h._edges.update(_uniform_subsets(n_vertices, j, count, rng))
     return h
 
 
-def _uniform_subset(n: int, size: int, rng: np.random.Generator) -> tuple[int, ...]:
-    picked: set[int] = set()
-    while len(picked) < size:
-        picked.add(int(rng.integers(n)))
-    return tuple(sorted(picked))
+# A bulk `rng.integers(n, size=k)` costs about as much as three to four
+# scalar calls (numpy's per-call checks), and more after file I/O has
+# evicted it from the caches, so a few draws are cheaper one at a time.
+_FEW_DRAWS = 8
+
+
+def _uniform_subsets(n: int, size: int, count: int,
+                     rng: np.random.Generator) -> list[tuple[int, ...]]:
+    """`count` uniform `size`-subsets of range(n), sorted, in draw order.
+
+    Each subset takes `rng.integers(n)` draws until it holds `size`
+    distinct ids.  The draws come in bulk, each time the least that the
+    subsets still to come must use, so the stream ends where the
+    one-draw-at-a-time loop ends; when that least is `_FEW_DRAWS` or
+    fewer, they come one at a time.
+    """
+    subsets = []
+    draws: list[int] = []
+    pos = 0
+    for i in range(count):
+        later = (count - 1 - i) * size  # what the subsets after this one must use
+        picked: set[int] = set()
+        while len(picked) < size:
+            if pos == len(draws):
+                need = size - len(picked) + later
+                draws = (rng.integers(n, size=need).tolist() if need > _FEW_DRAWS
+                         else [int(rng.integers(n))])
+                pos = 0
+            picked.add(draws[pos])
+            pos += 1
+        subsets.append(tuple(sorted(picked)))
+    return subsets
 
 
 def remove_vertex(h: Hypergraph, v: int) -> Hypergraph:
@@ -169,52 +205,78 @@ def collapse_all(h: Hypergraph, rng: np.random.Generator,
 
     The engine works on the canonical instance ordering, so equal
     hypergraph values collapse identically under the same random stream
-    regardless of how they were built.
+    regardless of how they were built.  With a `numpy.random.Generator`,
+    the patch loop runs in the compiled loop of `chain_kernel` when it
+    loads, with the same draws and results.
     """
-    instances = h.instances()
-    members = [set(e) for e in instances]
-    incidence: list[list[int]] = [[] for _ in range(h.n_vertices)]
-    for eid, edge in enumerate(instances):
-        for v in edge:
-            incidence[v].append(eid)
+    from . import chain_kernel
 
-    bag = [eid for eid, edge in enumerate(instances) if len(edge) == 1]
+    instances = h.instances()
+    sizes = array("q", map(len, instances))
+    ids = array("q", chain.from_iterable(instances))
+    kernel = chain_kernel.load() if type(rng) is np.random.Generator else None
+    steps = _collapse_steps if kernel is None else kernel.collapse
+    identified, trajectory = steps(h.n_vertices, sizes, ids, rng, record_trajectory)
+
+    gone = set(identified)
+    stable = Hypergraph(h.n_vertices)
+    stable._edges.update(e if gone.isdisjoint(e) else tuple(v for v in e if v not in gone)
+                         for e in instances)
+    return CollapseOutcome(identified, stable, stable._edges[()] - h._edges[()], trajectory)
+
+
+def _collapse_steps(n: int, sizes: array, ids: array, rng: np.random.Generator,
+                    record_trajectory: bool):
+    """The patch loop of `collapse_all`: (identified, trajectory).
+
+    Edge e holds `sizes[e]` ids of `ids`, after those of the edges before
+    it.  An edge keeps only its remaining size and the XOR of its
+    remaining ids, which is its vertex once one is left.  The reference
+    loop: `chain_kernel.c` runs the same loop with the same draws; tests
+    and the kernel's load-time check compare the two.
+    """
+    left = sizes.tolist()
+    ids = ids.tolist()
+    incidence: list[list[int]] = [[] for _ in range(n)]
+    xor = []
+    start = 0
+    for eid, size in enumerate(left):
+        x = 0
+        for v in ids[start:start + size]:
+            incidence[v].append(eid)
+            x ^= v
+        xor.append(x)
+        start += size
+
+    bag = [eid for eid, size in enumerate(left) if size == 1]
     patches = len(bag)
-    debris0 = sum(1 for edge in instances if not edge)
-    debris = debris0
+    debris = left.count(0)
     identified: list[int] = []
     trajectory = [(0, patches, debris)] if record_trajectory else None
-
     while bag:
         k = int(rng.integers(len(bag)))
         eid = bag[k]
-        if len(members[eid]) != 1:
+        if left[eid] != 1:
             # stale entry: this patch lost its vertex to an earlier removal
             bag[k] = bag[-1]
             bag.pop()
             continue
-        (v,) = members[eid]
+        v = xor[eid]
         for other in incidence[v]:
-            s = members[other]
-            s.remove(v)
-            left = len(s)
-            if left == 1:
+            xor[other] ^= v
+            left[other] -= 1
+            if left[other] == 1:
                 bag.append(other)
                 patches += 1
-            elif left == 0:
+            elif left[other] == 0:
                 # was a patch on v, now debris
                 patches -= 1
                 debris += 1
-        incidence[v].clear()
         identified.append(v)
         if record_trajectory:
             trajectory.append((len(identified), patches, debris))
-
-    stable = Hypergraph(h.n_vertices)
-    for s in members:
-        stable._edges[tuple(sorted(s))] += 1
     traj_arr = np.asarray(trajectory, dtype=np.int64) if record_trajectory else None
-    return CollapseOutcome(identified, stable, debris - debris0, traj_arr)
+    return identified, traj_arr
 
 
 def identifiable_set(h: Hypergraph) -> set[int]:
@@ -251,7 +313,8 @@ def identifiable_set(h: Hypergraph) -> set[int]:
 def write_hypergraph(h: Hypergraph, path: str) -> None:
     """Write the line-oriented format: a {"N": n} header, then one JSON
     array of sorted vertex ids per edge instance (repeats = multiplicity)."""
-    lines = [json.dumps({"N": h.n_vertices}), *(json.dumps(list(e)) for e in h.instances())]
+    # str() of a list of ints is its json.dumps()
+    lines = [json.dumps({"N": h.n_vertices}), *map(str, map(list, h.instances()))]
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -213,6 +213,30 @@ def random_hypergraph(rng: np.random.Generator, max_vertices=10, max_edges=12) -
     return h
 
 
+def plain(state):
+    """A bit generator state with its arrays as lists, comparable with ==."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def per_edge_poisson_sample(n_vertices: int, coeffs, rng: np.random.Generator) -> Counter:
+    """Poisson(beta) edge multiset, one edge and one vertex draw at a time.
+
+    For each size j in order, Poisson(N*bj) edges, each of scalar
+    `rng.integers(N)` draws until it holds j distinct ids: the stream
+    `sample_poisson` must consume.  Returns a Counter of sorted tuples.
+    """
+    edges: Counter = Counter()
+    for size, coeff in enumerate(coeffs):
+        for _ in range(int(rng.poisson(n_vertices * coeff))):
+            picked: set[int] = set()
+            while len(picked) < size:
+                picked.add(int(rng.integers(n_vertices)))
+            edges[tuple(sorted(picked))] += 1
+    return edges
+
+
 def tv_distance(counts_a: Counter, total_a: int, counts_b: Counter, total_b: int) -> float:
     keys = set(counts_a) | set(counts_b)
     return 0.5 * sum(abs(counts_a[k] / total_a - counts_b[k] / total_b) for k in keys)

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 
 from hypercollapse import (BetaSeries, ExperimentConfig, chain, chain_kernel,
                            collapse_all, critical_alpha, edge_rate_curve,
-                           from_binomial_family, from_graph_params, run,
+                           from_binomial_family, from_graph_params, hypergraph, run,
                            run_replicas, sample_poisson)
-from helpers import (absorption_law, exact_edge_rate, first_negative_root,
+from helpers import (absorption_law, exact_edge_rate, first_negative_root, plain,
                      tv_distance)
 
 
@@ -165,6 +166,23 @@ class TestRun:
                 assert recorded.trajectory.tolist() == manual
                 assert (recorded.removed, recorded.debris) == (n, z)
 
+    def test_one_vertex(self):
+        # one vertex has no 2-subsets: every patch sits on it, and one
+        # removal turns them all into debris
+        absorbed = 0
+        for series in (EX1, SMALL, BetaSeries((0.5, 2.0, 1.0))):
+            for seed in range(4):
+                (got, got_state), (want, want_state) = both_paths(
+                    1, series, lambda: np.random.default_rng(seed))
+                _, patches, debris = want.trajectory[0]
+                assert want.removed == (patches > 0)
+                assert want.debris == debris + patches
+                assert (got.removed, got.debris) == (want.removed, want.debris)
+                assert np.array_equal(got.trajectory, want.trajectory)
+                assert got_state == want_state
+                absorbed += want.removed
+        assert absorbed > 0
+
     def test_rate_table_argument_changes_nothing(self):
         table = edge_rate_curve(60, 2, EX1)
         a = run(60, EX1, np.random.default_rng(9), rate_table=table)
@@ -241,13 +259,6 @@ def fresh_loader(monkeypatch, tmp_path):
     chain_kernel.load.cache_clear()
 
 
-def plain(state):
-    """A bit generator state with its arrays as lists, comparable with ==."""
-    if isinstance(state, dict):
-        return {key: plain(value) for key, value in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
-
-
 def both_paths(n_vertices, series, make_rng, rate_table=None):
     """`run` with the compiled kernel, then with the Python loop; each result
     comes with the bit generator state it left (or the error it raised)."""
@@ -308,6 +319,38 @@ class TestKernel:
             10, EX1, lambda: np.random.default_rng(1), np.full(10, 1e18))
         assert type(got) is type(want) is OverflowError
         assert got_state == want_state
+
+    def test_bit_generator_address(self, kernel):
+        for bit_generator in (np.random.PCG64(1), np.random.MT19937(1)):
+            assert (chain_kernel._bitgen(bit_generator)
+                    == bit_generator.ctypes.bit_generator.value)
+
+    def test_collapse_refuses_edges_that_do_not_fit(self, kernel):
+        rng = np.random.default_rng(0)
+        state = plain(rng.bit_generator.state)
+        for sizes, ids in (([1, 2], [0, 1]), ([1, -1], [0]), ([2], [0, 6]), ([2], [-1, 0])):
+            with pytest.raises(ValueError, match="edge sizes do not match"):
+                kernel.collapse(6, array("q", sizes), array("q", ids), rng, False)
+        with pytest.raises(TypeError, match="typecode 'q'"):
+            kernel.collapse(6, array("i", [1]), array("q", [0]), rng, False)
+        assert plain(rng.bit_generator.state) == state
+
+    def test_collapse_that_draws_differently_is_refused(self, kernel, monkeypatch, caplog):
+        reference = hypergraph._collapse_steps
+
+        def drifted(n, sizes, ids, rng, record_trajectory):
+            rng.integers(2)
+            return reference(n, sizes, ids, rng, record_trajectory)
+
+        monkeypatch.setattr(hypergraph, "_collapse_steps", drifted)
+        chain_kernel.load.cache_clear()
+        try:
+            with caplog.at_level("WARNING", logger="hypercollapse.chain_kernel"):
+                assert chain_kernel.load() is None
+        finally:
+            chain_kernel.load.cache_clear()
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "collapsed differently from the Python loop" in caplog.text
 
     def test_kernel_in_use_where_a_compiler_is(self, monkeypatch):
         if shutil.which("cc") is None:

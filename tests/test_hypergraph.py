@@ -1,10 +1,29 @@
 import numpy as np
 import pytest
 
-from hypercollapse import (BetaSeries, Hypergraph, collapse_all,
+from hypercollapse import (BetaSeries, Hypergraph, chain_kernel, collapse_all,
                            identifiable_set, read_hypergraph, remove_vertex,
                            sample_poisson, write_hypergraph)
-from helpers import edges_inside, random_hypergraph
+from helpers import edges_inside, per_edge_poisson_sample, plain, random_hypergraph
+
+
+def assert_both_loops_collapse_alike(h, make_rng):
+    """`collapse_all` with the compiled loop and with the Python loop, each
+    on a fresh `make_rng()`: same outcome, same bit generator state after."""
+    outcomes = []
+    for load in (chain_kernel.load, lambda: None):
+        rng = make_rng()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_kernel, "load", load)
+            outcome = collapse_all(h, rng, record_trajectory=True)
+        outcomes.append((outcome, plain(rng.bit_generator.state)))
+    (got, got_state), (want, want_state) = outcomes
+    assert got.identified == want.identified
+    assert got.stable == want.stable
+    assert got.identifiable_edge_count == want.identifiable_edge_count
+    assert np.array_equal(got.trajectory, want.trajectory)
+    assert got_state == want_state
+    return want
 
 
 class TestHypergraph:
@@ -85,6 +104,18 @@ class TestSamplePoisson:
         assert abs(debris - n * 0.2) <= 4.0 * np.sqrt(n * 0.2 / draws)
         assert abs(total - n * 1.3) <= 4.0 * np.sqrt(n * 1.3 / draws)
 
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_draws_as_the_per_edge_loop(self, bit_generator):
+        # few vertices: repeated ids are common and a subset can take all of them
+        cases = [(n, seed, tuple(2.0 / (1 + j) for j in range(n + 1)))
+                 for n in range(2, 9) for seed in range(6)]
+        cases.append((30_000, 0, (0.05, 0.3, 0.6, 0.4)))
+        for n, seed, coeffs in cases:
+            got_rng, want_rng = (np.random.Generator(bit_generator(seed)) for _ in "ab")
+            h = sample_poisson(n, BetaSeries(coeffs), got_rng)
+            assert h.edge_counts() == per_edge_poisson_sample(n, coeffs, want_rng)
+            assert plain(got_rng.bit_generator.state) == plain(want_rng.bit_generator.state)
+
     def test_degree_must_fit(self):
         with pytest.raises(ValueError, match="series degree exceeds the vertex count"):
             sample_poisson(2, BetaSeries((0, 0, 0, 1.0)), np.random.default_rng(0))
@@ -115,6 +146,16 @@ class TestRemoveVertex:
 
 
 class TestCollapseAll:
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_compiled_loop_matches_the_python_loop(self, bit_generator):
+        if chain_kernel.load() is None:
+            pytest.skip("the compiled chain kernel is unavailable here")
+        for n, coeffs in ((2000, (0.1, 0.8, 0.6, 0.3)), (30_000, (0.05, 0.3, 0.6, 0.4))):
+            h = sample_poisson(n, BetaSeries(coeffs), np.random.default_rng(n))
+            outcome = assert_both_loops_collapse_alike(
+                h, lambda: np.random.Generator(bit_generator(5)))
+            assert len(outcome.identified) > n // 2
+
     def test_forced_two_step_sequence(self):
         h = Hypergraph(2, [(0,), (0, 1)])
         out = collapse_all(h, np.random.default_rng(0))

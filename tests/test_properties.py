@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain,
-                           chain_kernel, edge_rate_curve, read_hypergraph,
-                           run_replicas, write_hypergraph)
+                           chain_kernel, collapse_all, edge_rate_curve,
+                           identifiable_set, read_hypergraph, run_replicas,
+                           write_hypergraph)
+from test_hypergraph import assert_both_loops_collapse_alike
 from test_montecarlo import reference_deviation
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -58,11 +60,12 @@ def test_worker_count_changes_nothing(series, n_values, replicas, seed, delta):
 
 
 @PROPERTY
-@given(series=models, n=st.integers(2, 2000), patches=st.integers(0, 5000),
+@given(series=models, n=st.integers(1, 2000), patches=st.integers(0, 5000),
        debris=st.integers(0, 100), seed=seeds)
 def test_kernel_matches_the_python_loop_draw_for_draw(kernel, series, n, patches,
                                                       debris, seed):
-    rates = edge_rate_curve(n, 2, series)
+    # one vertex has no 2-subsets, so no 2-edge rate
+    rates = edge_rate_curve(n, 2, series) if n > 1 else np.zeros(1)
     got_rng, want_rng = (np.random.default_rng(seed) for _ in "ab")
     got = kernel.steps(n, rates, got_rng, patches, debris, True)
     want = chain._steps(n, rates, want_rng, patches, debris, True)
@@ -120,3 +123,22 @@ def test_reader_round_trips_the_writer(h):
         path = os.path.join(d, "h.hgx")
         write_hypergraph(h, path)
         assert read_hypergraph(path) == h
+
+
+@PROPERTY
+@given(h=hypergraphs(), seeds=st.lists(seeds, min_size=2, max_size=3, unique=True))
+def test_collapse_keeps_the_edges_and_finds_the_peeling_fixpoint(h, seeds):
+    outcomes = [collapse_all(h, np.random.default_rng(seed)) for seed in seeds]
+    peeled = identifiable_set(h)
+    for outcome in outcomes:
+        assert outcome.stable.stats().total == h.stats().total
+        assert len(set(outcome.identified)) == len(outcome.identified)
+        assert set(outcome.identified) == peeled
+        assert outcome.stable == outcomes[0].stable
+        assert outcome.identifiable_edge_count == outcomes[0].identifiable_edge_count
+
+
+@PROPERTY
+@given(h=hypergraphs(), seed=seeds)
+def test_compiled_collapse_matches_the_python_loop_draw_for_draw(kernel, h, seed):
+    assert_both_loops_collapse_alike(h, lambda: np.random.default_rng(seed))
