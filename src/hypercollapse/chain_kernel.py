@@ -7,7 +7,8 @@ with the routines `Generator.binomial`, `Generator.poisson` and
 `Generator.integers` use, on the Generator's own bit generator: the random
 stream and every output stay the same.  The library is cached per user in
 `$XDG_CACHE_HOME/hypercollapse` (default `~/.cache/hypercollapse`), keyed
-by the numpy version, the platform and a hash of the source.  `load()`
+by the numpy version, the platform and a hash of the source; a build
+deletes the libraries that other sources built for the same numpy.  `load()`
 returns None, and both callers keep their Python loops, when there is no
 compiler, the build fails, the cache directory is not private to this
 user, or the loaded library does not reproduce the Python loops draw for
@@ -151,8 +152,28 @@ def _library() -> str:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        _remove_stale(path)
     _check_private(path, stat.S_ISREG)
     return path
+
+
+def _remove_stale(path: str) -> None:
+    """Delete the libraries that other sources built for this numpy: this
+    user's regular files named like `path` with another hash.  Symlinks and
+    other users' files stay; a file that a concurrent builder removed or
+    replaced first is left to it."""
+    directory, keep = os.path.split(path)
+    prefix = f"chain_kernel-{np.__version__}-"
+    with os.scandir(directory) as entries:
+        stale = [e for e in entries if e.name != keep and e.name.startswith(prefix)
+                 and e.name.endswith(".so")]
+    for entry in stale:
+        try:
+            info = entry.stat(follow_symlinks=False)
+            if stat.S_ISREG(info.st_mode) and info.st_uid == os.getuid():
+                os.unlink(entry.path)
+        except OSError:
+            pass
 
 
 def _self_check(kernel: Kernel) -> None:

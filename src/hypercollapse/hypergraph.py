@@ -15,6 +15,12 @@ draws and leaves the same bit-generator state as k scalar calls (numpy
 draws bounded integers one at a time from the bit generator's buffered
 words either way); the patch loop runs compiled in `chain_kernel` when
 it loads, on the same draws.
+
+Edges are checked in bulk, by one rule that `Hypergraph`, `add_edge` and
+`read_hypergraph` share; the reader parses many lines with each
+`json.loads`.  A sampled hypergraph, and one read from a file that
+`write_hypergraph` wrote, hold their edges in canonical order, so the sort
+of `instances()` runs over a sorted list, in linear time.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, NamedTuple, Optional
+from functools import partial
+from itertools import chain, islice
+from operator import lt
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,6 +53,36 @@ def _vertex_id(v) -> int:
     raise ValueError(f"a vertex id must be an integer, got {v!r}")
 
 
+def _increasing(edges: list, total: int) -> bool:
+    """Whether the ids of every edge, `total` ids in all and none below 0,
+    strictly increase."""
+    # a -1 starts each edge: no step onto it increases, every step off it does
+    spaced = [(-1,)] * (2 * len(edges))
+    spaced[1::2] = edges
+    flat = list(chain.from_iterable(spaced))
+    return sum(map(lt, flat, islice(flat, 1, None))) == total
+
+
+def _canonical_edges(n: int, edges: list) -> list[tuple[int, ...]]:
+    """The one edge rule, checked in bulk: each edge is a sequence of
+    distinct vertex ids (`_vertex_id`) in range(n), and is stored as the
+    sorted tuple of its ids.  A ValueError names an edge that breaks it."""
+    ids = list(chain.from_iterable(edges))
+    if not set(map(type, ids)) <= {int}:
+        edges = [list(map(_vertex_id, e)) for e in edges]
+        ids = list(chain.from_iterable(edges))
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        bad = next(e for e in edges if e and (min(e) < 0 or max(e) >= n))
+        raise ValueError(f"vertex id out of range in edge {list(bad)}")
+    if not _increasing(edges, len(ids)):
+        ordered = list(map(sorted, edges))
+        if not _increasing(ordered, len(ids)):
+            bad = next(e for e in edges if len(set(e)) < len(e))
+            raise ValueError(f"duplicate vertex in edge {list(bad)}")
+        edges = ordered
+    return list(map(tuple, edges))
+
+
 class Hypergraph:
     """Multiset of hyperedges over vertices 0..n_vertices-1.
 
@@ -61,22 +99,16 @@ class Hypergraph:
             raise ValueError("need at least one vertex")
         self.n_vertices = n_vertices
         self._edges: Counter = Counter()
-        for edge in edges:
-            self.add_edge(edge)
-
-    def _canonical(self, vertices: Iterable[int]) -> tuple[int, ...]:
-        vs = [v if type(v) is int else _vertex_id(v) for v in vertices]
-        edge = tuple(sorted(set(vs)))
-        if len(edge) != len(vs):
-            raise ValueError(f"duplicate vertex in edge {vs}")
-        if edge and (edge[0] < 0 or edge[-1] >= self.n_vertices):
-            raise ValueError(f"vertex id out of range in edge {vs}")
-        return edge
+        edges = list(map(tuple, edges))
+        if edges:
+            self._edges.update(_canonical_edges(n_vertices, edges))
 
     def add_edge(self, vertices: Iterable[int], multiplicity: int = 1) -> None:
+        multiplicity = whole("multiplicity", multiplicity)
         if multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
-        self._edges[self._canonical(vertices)] += multiplicity
+        (edge,) = _canonical_edges(self.n_vertices, [tuple(vertices)])
+        self._edges[edge] += multiplicity
 
     def edge_counts(self) -> dict[tuple[int, ...], int]:
         """Mapping edge -> multiplicity (a copy)."""
@@ -84,7 +116,8 @@ class Hypergraph:
 
     def instances(self) -> list[tuple[int, ...]]:
         """Edge instances expanded by multiplicity, in canonical order:
-        by size, then lexicographically."""
+        by size, then lexicographically.  Linear time when the edges were
+        added in that order."""
         out = sorted(self._edges.elements())
         out.sort(key=len)  # stable: each size keeps its lexicographic order
         return out
@@ -118,7 +151,8 @@ def sample_poisson(n_vertices: int, series: BetaSeries,
 
     For each size j the total number of j-edges is Poisson(N*bj), and each
     edge sits on an independently uniform j-subset, drawn with replacement
-    across edges so repeated subsets accumulate multiplicity.
+    across edges so repeated subsets accumulate multiplicity.  Each size's
+    subsets go in sorted, so the edges are in canonical order.
     """
     h = Hypergraph(n_vertices)
     if series.degree > h.n_vertices:
@@ -126,7 +160,7 @@ def sample_poisson(n_vertices: int, series: BetaSeries,
     for j, bj in enumerate(series.coeffs):
         count = int(rng.poisson(n_vertices * bj))
         if count:
-            h._edges.update(_uniform_subsets(n_vertices, j, count, rng))
+            h._edges.update(sorted(_uniform_subsets(n_vertices, j, count, rng)))
     return h
 
 
@@ -318,27 +352,100 @@ def write_hypergraph(h: Hypergraph, path: str) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def read_hypergraph(path: str) -> Hypergraph:
-    """Read the format of `write_hypergraph`.
+# Characters of edge lines per json.loads: each batch's lists and strings
+# are freed before the next is parsed, so a read holds little more than the
+# file's text and the hypergraph, and a batch's fixed cost is microseconds.
+_BATCH_CHARS = 1 << 16
 
-    N must be a whole number and each edge line a JSON array of vertex ids
-    (integers: no booleans, floats, strings or nesting); any other line
-    raises ValueError naming the path and the line number.
+
+def read_hypergraph(path: str) -> Hypergraph:
+    """Read the format of `write_hypergraph`, in bulk.
+
+    The first line is a JSON object whose "N" is a whole number.  Every
+    other line is blank (whitespace only) or one JSON array of vertex ids,
+    which `Hypergraph`'s edge rule checks; lines end in LF, CRLF or CR.
+    Anything else raises ValueError naming the path and the first bad
+    line.  The edge lines are parsed and checked in batches of about
+    `_BATCH_CHARS` characters.
     """
-    lineno = 1
-    with open(path, encoding="utf-8") as fh:
+    first, _, body = _read_text(path).partition("\n")
+    try:
+        header = json.loads(first)
+        if not isinstance(header, dict) or "N" not in header:
+            raise ValueError("first line must be a JSON object with key 'N'")
+        h = Hypergraph(whole("N", header["N"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}, line 1: {exc}") from None
+    check = partial(_edge_lines, h.n_vertices)
+    lineno, start = 2, 0
+    while start < len(body):
+        end = body.find("\n", start + _BATCH_CHARS)
+        end = len(body) if end < 0 else end
+        lines = body[start:end].split("\n")
+        edge_lines = list(filter(str.strip, lines))  # strip leaves nothing of a blank line
         try:
-            header = json.loads(fh.readline())
-            if not isinstance(header, dict) or "N" not in header:
-                raise ValueError("first line must be a JSON object with key 'N'")
-            h = Hypergraph(whole("N", header["N"]))
-            for lineno, line in enumerate(fh, 2):
-                if line.isspace():
-                    continue
-                edge = json.loads(line)
-                if type(edge) is not list:
-                    raise ValueError(f"an edge must be a JSON array, got {line.strip()}")
-                h.add_edge(edge)
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            h._edges.update(check(edge_lines))
+        except ValueError:
+            bad, exc = _first_failure(check, edge_lines)
+            bad_line = [no for no, line in enumerate(lines, lineno) if line.strip()][bad]
+            raise ValueError(f"{path}, line {bad_line}: {exc}") from None
+        lineno += len(lines)
+        start = end + 1
     return h
+
+
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file, its CRLF and CR line ends made LF as text
+    mode makes them."""
+    with open(path, "rb", buffering=0) as fh:  # one read of the whole file
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks lines where text mode does: LF, CRLF, CR
+        lineno = len((data[:exc.start] + b".").splitlines())
+        raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _edge_lines(n: int, lines: list[str]) -> list[tuple[int, ...]]:
+    """The canonical edges of `lines`, each exactly one JSON array of ids.
+
+    One `json.loads` parses the lines joined by ",null,".  They pass only
+    if the result alternates one list per line with the null of each
+    joint, and `_canonical_edges` then finds only integer ids: a string
+    or nested list anywhere fails that, so each joint's null is a value
+    of its own between two lines, and each line holds exactly one value.
+    "[1], [2" followed by "3]" parses, but as one value too few.
+    """
+    if not lines:
+        return []
+    try:
+        values = json.loads("[" + ",null,".join(lines) + "]")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"an edge line must be one JSON array: {exc.msg}") from None
+    edges = values[::2]
+    if (len(values) != 2 * len(lines) - 1 or values[1::2].count(None) != len(lines) - 1
+            or not set(map(type, edges)) <= {list}):
+        raise ValueError("an edge line must be one JSON array")
+    return _canonical_edges(n, edges)
+
+
+def _first_failure(check: Callable[[list], object], items: list) -> tuple[int, ValueError]:
+    """Index and error of the first item that `check` refuses, given that it
+    refuses `items` and judges each item on its own.  Halving the range
+    that holds the first refused item costs about len(items) item checks."""
+    lo, hi = 0, len(items)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            check(items[lo:mid])
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    try:
+        check(items[lo:hi])
+    except ValueError as exc:
+        return lo, exc
+    raise AssertionError("the check refused the items but no item alone")

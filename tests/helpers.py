@@ -8,6 +8,7 @@ tautology.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from typing import NamedTuple
@@ -235,6 +236,38 @@ def per_edge_poisson_sample(n_vertices: int, coeffs, rng: np.random.Generator) -
                 picked.add(int(rng.integers(n_vertices)))
             edges[tuple(sorted(picked))] += 1
     return edges
+
+
+def per_line_read(path: str) -> tuple[int, Counter]:
+    """The hypergraph file format read one line at a time: (N, Counter of
+    sorted edge tuples).
+
+    The first line is a JSON object with a whole "N" >= 1; every other line
+    is blank (`str.isspace`) or a JSON array of distinct integer ids in
+    [0, N).  Text mode ends lines at LF, CRLF and CR.  Anything else raises
+    ValueError beginning "{path}, line {k}: " for the first bad line k.
+    """
+    lineno = 1
+    with open(path, encoding="utf-8") as fh:
+        try:
+            header = json.loads(fh.readline())
+            n = header["N"] if isinstance(header, dict) and "N" in header else None
+            if (type(n) not in (int, float) or not math.isfinite(n) or n % 1 or n < 1):
+                raise ValueError(f"bad header {header!r}")
+            n = int(n)
+            edges: Counter = Counter()
+            for lineno, line in enumerate(fh, 2):
+                if line.isspace():
+                    continue
+                edge = json.loads(line)
+                if type(edge) is not list or any(type(v) is not int for v in edge):
+                    raise ValueError(f"not an array of integers: {line!r}")
+                if len(set(edge)) < len(edge) or any(not 0 <= v < n for v in edge):
+                    raise ValueError(f"repeated or out-of-range id: {line!r}")
+                edges[tuple(sorted(edge))] += 1
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    return n, edges
 
 
 def tv_distance(counts_a: Counter, total_a: int, counts_b: Counter, total_b: int) -> float:

@@ -373,6 +373,21 @@ class TestKernel:
         assert np.array_equal(got.trajectory, want.trajectory)
         assert os.listdir(cache) == []
 
+    def test_a_build_deletes_stale_libraries(self, kernel, fresh_loader):
+        cache = fresh_loader()
+        cache.mkdir()
+        ours = f"chain_kernel-{np.__version__}-"
+        (cache / f"{ours}{'0' * 16}.so").write_bytes(b"an older source")
+        (cache / "target").write_bytes(b"not a library")
+        (cache / f"{ours}{'1' * 16}.so").symlink_to(cache / "target")
+        (cache / f"chain_kernel-0.0.0-{'2' * 16}.so").write_bytes(b"another numpy")
+        kept = {"target", f"{ours}{'1' * 16}.so", f"chain_kernel-0.0.0-{'2' * 16}.so"}
+        assert chain_kernel.load() is not None
+        built = set(os.listdir(cache)) - kept
+        assert len(built) == 1 and built.pop().startswith(ours)
+        assert kept <= set(os.listdir(cache))
+        assert (cache / "target").read_bytes() == b"not a library"
+
     def test_refuses_a_cache_others_can_write(self, fresh_loader):
         shared = fresh_loader()
         shared.mkdir()

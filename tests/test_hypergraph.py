@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,19 @@ class TestHypergraph:
         h = Hypergraph(2, [[np.int64(1)], [np.uint8(0), 1]])
         assert h.edge_counts() == {(1,): 1, (0, 1): 1}
         assert all(type(v) is int for edge in h.edge_counts() for v in edge)
+
+    def test_add_edge_takes_a_whole_multiplicity(self):
+        h = Hypergraph(2)
+        h.add_edge([1, 0], 2.0)
+        assert h.edge_counts() == {(0, 1): 2}
+        assert type(h.stats().total) is int
+
+    @pytest.mark.parametrize("multiplicity", [2.5, True, "2", None, 0])
+    def test_add_edge_rejects_a_multiplicity_that_is_not_a_whole_count(self, multiplicity):
+        h = Hypergraph(2)
+        with pytest.raises(ValueError, match="multiplicity"):
+            h.add_edge([0], multiplicity)
+        assert h.edge_counts() == {}
 
     def test_equality_is_multiset_equality(self):
         a = Hypergraph(3, [(0, 1), (2,), (2,)])
@@ -115,6 +130,9 @@ class TestSamplePoisson:
             h = sample_poisson(n, BetaSeries(coeffs), got_rng)
             assert h.edge_counts() == per_edge_poisson_sample(n, coeffs, want_rng)
             assert plain(got_rng.bit_generator.state) == plain(want_rng.bit_generator.state)
+            # the edges go in canonical order, which instances() keeps
+            edges = list(h.edge_counts())
+            assert edges == sorted(edges, key=lambda e: (len(e), e))
 
     def test_degree_must_fit(self):
         with pytest.raises(ValueError, match="series degree exceeds the vertex count"):
@@ -260,4 +278,47 @@ class TestFileFormat:
         path = tmp_path / "bad.hgx"
         path.write_text("[0]\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            read_hypergraph(str(path))
+
+    def test_reads_blank_lines_any_line_end_and_any_order(self, tmp_path):
+        path = tmp_path / "h.hgx"
+        path.write_bytes(b'{"N": 3}\r\n \xc2\xa0\r\n[2, -0]\r\n\n\t[1] \r[]\n\n[0,2]')
+        assert read_hypergraph(str(path)) == Hypergraph(3, [(0, 2), (1,), (), (0, 2)])
+
+    def test_reads_a_header_alone(self, tmp_path):
+        path = tmp_path / "h.hgx"
+        path.write_bytes(b'{"N": 2}')
+        assert read_hypergraph(str(path)) == Hypergraph(2)
+
+    @pytest.mark.parametrize("lines, bad", [
+        (["[0], [1", "2]"], 2),     # joined with a comma, these are two arrays
+        (["[0]", "[1] [2]"], 3),
+        (["[0]", '["]"]', "[1]"], 3),
+        (['["],["]', "[1]"], 2),
+        (["[[0]]"], 2),
+        (["[0, true]"], 2),
+        (["", "5"], 3),
+        (["[0]", "[1, 1]", "[0,", "[5]"], 3),
+        (["[0]", "[2]", "[0,", "[1, 1]"], 4),
+        (["[0]", "[3]", "[0, 0]"], 3),
+    ])
+    def test_names_the_first_bad_line(self, tmp_path, lines, bad):
+        path = tmp_path / "bad.hgx"
+        path.write_text("\n".join(['{"N": 3}', *lines]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {bad}: "):
+            read_hypergraph(str(path))
+
+    def test_counts_lines_across_batches(self, tmp_path):
+        path = tmp_path / "h.hgx"
+        lines = ["[0, 1]", "", "[2]"] * 10_000  # 110 kB: two batches
+        path.write_text("\n".join(['{"N": 3}', *lines]) + "\n", encoding="utf-8")
+        assert read_hypergraph(str(path)).edge_counts() == {(0, 1): 10_000, (2,): 10_000}
+        path.write_text("\n".join(['{"N": 3}', *lines, "[1, 1]"]), encoding="utf-8")
+        with pytest.raises(ValueError, match=f", line {len(lines) + 2}: duplicate vertex"):
+            read_hypergraph(str(path))
+
+    def test_names_the_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.hgx"
+        path.write_bytes(b'{"N": 3}\r\n[0]\r[\xff]\n')
+        with pytest.raises(ValueError, match=", line 3: 'utf-8' codec can't decode"):
             read_hypergraph(str(path))

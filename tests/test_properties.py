@@ -4,16 +4,19 @@ every run draws the same examples."""
 import json
 import math
 import os
+import re
 import tempfile
+from itertools import chain as chained
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain,
-                           chain_kernel, collapse_all, edge_rate_curve,
+                           chain_kernel, collapse_all, edge_rate_curve, hypergraph,
                            identifiable_set, read_hypergraph, run_replicas,
                            write_hypergraph)
+from helpers import per_line_read
 from test_hypergraph import assert_both_loops_collapse_alike
 from test_montecarlo import reference_deviation
 
@@ -107,6 +110,72 @@ def test_reader_rejects_a_vertex_that_is_not_an_integer(bad, pos):
     edge.insert(pos, bad)
     with pytest.raises(ValueError, match="line 3: "):
         read_text('{"N": 4}\n[2]\n' + json.dumps(edge) + "\n")
+
+
+# a vertex count whose ids run past the int64 range
+HUGE_N = 2**64 + 3
+json_space = st.sampled_from(["", "", " ", "\t", " \t "])
+blank_lines = st.sampled_from(["", " ", "\t", "\xa0", " \xa0\t", "\u3000", "\x0b\x0c"])
+# each entry is one or more physical lines; most are bad on their own
+odd_lines = st.sampled_from([
+    ["[0], [1]"], ["[0] [1]"], ["[0],"],                       # two arrays on a line
+    ["[0,", "1]"], ["[0], [1", "2]"], ["[", "]"],              # an array over two lines
+    ["[[0]]"], ["[0, [1]]"], ["[]]"],                          # nesting
+    ['["]"]'], ['[0, "[", 1]'], ['["],["]'], ['"[0]"'],        # strings with brackets
+    ["[0, 0]"], ["[-1]"], ["[3]"], [f"[{2**64}]"],             # repeats and range
+    ["[1.0]"], ["[1e0]"], ["[true]"], ["[null]"], ["[NaN]"], ["0"], ["{}"], ["null"],
+    ["[0,]"], ["[01]"], ["]"], ["x"], ["\xa0[0]"], ["[0]\xa0"],
+])
+
+
+@st.composite
+def edge_lines(draw, n):
+    """A valid edge line: distinct ids in any order, 0 sometimes written
+    -0, in JSON whitespace."""
+    pool = st.integers(0, n - 1) if n < HUGE_N else st.sampled_from([0, 1, 2**63, n - 1])
+    ids = draw(st.lists(pool, unique=True, max_size=min(n, 4)))
+    tokens = [draw(st.sampled_from(["0", "-0"])) if v == 0 else str(v) for v in ids]
+    comma = draw(json_space) + "," + draw(json_space)
+    return (draw(json_space) + "[" + draw(json_space) + comma.join(tokens)
+            + draw(json_space) + "]" + draw(json_space))
+
+
+@st.composite
+def hypergraph_texts(draw):
+    n = draw(st.sampled_from([1, 3, 5, HUGE_N]))
+    kinds = [edge_lines(n).map(lambda line: [line]), blank_lines.map(lambda line: [line])]
+    if draw(st.booleans()):
+        kinds.append(odd_lines)
+    lines = [draw(st.sampled_from(['{"N": %d}', ' {"N": %d}\t'])) % n,
+             *chained.from_iterable(draw(st.lists(st.one_of(kinds), max_size=8)))]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(chained.from_iterable(zip(lines, ends)))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(text=hypergraph_texts(), batch=st.sampled_from([1, 7, 40]))
+def test_reader_agrees_with_a_per_line_reader(text, batch):
+    # the default batch holds every generated text; small ones split it
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "h.hgx")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            want = per_line_read(path)
+        except ValueError as exc:
+            want = re.match(re.escape(path) + r", line \d+: ", str(exc)).group()
+        for chars in (hypergraph._BATCH_CHARS, batch):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hypergraph, "_BATCH_CHARS", chars)
+                if isinstance(want, str):
+                    with pytest.raises(ValueError, match="^" + re.escape(want)):
+                        read_hypergraph(path)
+                else:
+                    h = read_hypergraph(path)
+                    assert (h.n_vertices, h.edge_counts()) == want
 
 
 @st.composite
