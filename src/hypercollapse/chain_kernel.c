@@ -1,6 +1,7 @@
 /* The two random loops of the package, compiled: the step loop of the
  * reduced collapse chain (chain.run) and the patch loop of the exact
- * collapse (hypergraph.collapse_all).
+ * collapse (hypergraph.collapse_all, and with a fixed pick
+ * hypergraph.identifiable_set).
  *
  * Each draws with numpy's own routines on the Generator's bitgen_t:
  * random_binomial and random_poisson, which Generator.binomial and
@@ -102,10 +103,11 @@ int chain_steps(int64_t n, const double *rates, bitgen_t *bitgen,
  * has sizes[e] distinct vertex ids, listed in ids (n_ids in all) after
  * those of edges 0..e-1.  Each step picks an entry of the bag of patch
  * edges as Generator.integers(len) does (nothing is drawn for a bag of
- * one); an entry whose edge has lost its last vertex is stale and leaves
- * the bag, otherwise the edge's vertex is removed from every edge holding
- * it.  An edge keeps only its remaining size and the XOR of its remaining
- * ids, which is the vertex once one is left.  The removed vertices go to
+ * one), or, when bitgen is NULL, the last entry, with no draw; an entry
+ * whose edge has lost its last vertex is stale and leaves the bag,
+ * otherwise the edge's vertex is removed from every edge holding it.  An
+ * edge keeps only its remaining size and the XOR of its remaining ids,
+ * which is the vertex once one is left.  The removed vertices go to
  * identified (n int64), in removal order; trajectory, if not NULL, holds
  * (n + 1) * 3 int64 and receives (removed, patches, debris) before the
  * first removal and after each.  Returns the number removed, -NO_MEMORY,
@@ -165,8 +167,9 @@ int64_t collapse_steps(int64_t n, int64_t n_edges, const int64_t *sizes,
         trajectory[2] = debris;
     }
     while (bagged > 0) {
-        uint64_t k = 0;
-        random_bounded_uint64_fill(bitgen, 0, (uint64_t)(bagged - 1), 1, false, &k);
+        uint64_t k = (uint64_t)(bagged - 1);
+        if (bitgen)
+            random_bounded_uint64_fill(bitgen, 0, k, 1, false, &k);
         int64_t e = bag[k];
         if (left[e] != 1) {
             bag[k] = bag[--bagged];

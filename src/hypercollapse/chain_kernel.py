@@ -1,7 +1,8 @@
 """The compiled random loops: build on first use, cache, check, load.
 
 `chain_kernel.c` holds the step loop of `chain.run` and the patch loop of
-`hypergraph.collapse_all`.  It is compiled with the system C compiler
+`hypergraph.collapse_all`, which `hypergraph.identifiable_set` runs with a
+fixed pick and no generator.  It is compiled with the system C compiler
 (`cc`) and linked against numpy's `libnpyrandom.a`, so each loop draws
 with the routines `Generator.binomial`, `Generator.poisson` and
 `Generator.integers` use, on the Generator's own bit generator: the random
@@ -9,7 +10,7 @@ stream and every output stay the same.  The library is cached per user in
 `$XDG_CACHE_HOME/hypercollapse` (default `~/.cache/hypercollapse`), keyed
 by the numpy version, the platform and a hash of the source; a build
 deletes the libraries that other sources built for the same numpy.  `load()`
-returns None, and both callers keep their Python loops, when there is no
+returns None, and every caller keeps its Python loop, when there is no
 compiler, the build fails, the cache directory is not private to this
 user, or the loaded library does not reproduce the Python loops draw for
 draw on a fixed chain and a fixed hypergraph.  The reason is logged to the
@@ -18,6 +19,7 @@ draw on a fixed chain and a fixed hypergraph.  The reason is logged to the
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -92,17 +94,19 @@ class Kernel:
         removed, _, debris = counts
         return removed, debris, None if trajectory is None else trajectory[:removed + 1]
 
-    def collapse(self, n: int, sizes: array, ids: array, rng: np.random.Generator,
-                 record_trajectory: bool):
-        """Collapse to no patches; `sizes` and `ids` are int64 arrays ("q")."""
+    def collapse(self, n: int, sizes: array, ids: array,
+                 rng: Optional[np.random.Generator], record_trajectory: bool):
+        """Collapse to no patches; `sizes` and `ids` are int64 arrays ("q").
+        With `rng` None each step takes the last bag entry and draws nothing."""
         if sizes.typecode != "q" or ids.typecode != "q":
             raise TypeError("sizes and ids must be arrays of typecode 'q'")
         identified = array("q", bytes(8 * n))
         trajectory = np.empty((n + 1, 3), dtype=np.int64) if record_trajectory else None
-        bitgen = rng.bit_generator
-        with bitgen.lock:
+        bitgen = None if rng is None else rng.bit_generator
+        with contextlib.nullcontext() if bitgen is None else bitgen.lock:
             removed = self._collapse(n, len(sizes), sizes.buffer_info()[0],
-                                     len(ids), ids.buffer_info()[0], _bitgen(bitgen),
+                                     len(ids), ids.buffer_info()[0],
+                                     None if bitgen is None else _bitgen(bitgen),
                                      identified.buffer_info()[0],
                                      None if trajectory is None else trajectory.ctypes.data)
         if removed < 0:
@@ -184,7 +188,8 @@ def _self_check(kernel: Kernel) -> None:
     take its inversion branch, the last step its p = 1 case; the means
     cross 10, where numpy's Poisson sampler switches method.  The collapse
     leaves stale entries in its bag, and its bag falls to one entry, where
-    `Generator.integers(1)` draws nothing.
+    `Generator.integers(1)` draws nothing.  The same collapse runs once
+    more with the fixed pick of `identifiable_set`.
     """
     from .chain import _steps
     from .hypergraph import _collapse_steps
@@ -209,12 +214,17 @@ def _self_check(kernel: Kernel) -> None:
     if (got[0] != want[0] or not np.array_equal(got[1], want[1])
             or got_rng.bit_generator.state != want_rng.bit_generator.state):
         raise _SelfCheckError(f"{kernel.path} collapsed differently from the Python loop")
+    # the fixed pick (no generator) removes 1, 0, 2, 3, 4, 5, then meets two stale entries
+    if kernel.collapse(8, sizes, ids, None, False)[0] != _collapse_steps(8, sizes, ids,
+                                                                         None, False)[0]:
+        raise _SelfCheckError(f"{kernel.path} collapsed differently from the Python loop "
+                              f"with the fixed pick")
 
 
 @functools.cache
 def load() -> Optional[Kernel]:
-    """The compiled loops, or None when `chain.run` and `collapse_all` use
-    their Python loops."""
+    """The compiled loops, or None when `chain.run`, `collapse_all` and
+    `identifiable_set` use their Python loops."""
     if os.name != "posix":
         log.info("no compiled chain kernel on %s; using the Python loops", os.name)
         return None

@@ -16,6 +16,11 @@ draws bounded integers one at a time from the bit generator's buffered
 words either way); the patch loop runs compiled in `chain_kernel` when
 it loads, on the same draws.
 
+The patch loop has two pick rules.  `collapse_all` picks uniformly, with
+its generator.  `identifiable_set` takes the last bag entry and draws
+nothing: any full collapse removes the same set, so one fixed order
+computes it in the same loop.
+
 Edges are checked in bulk, by one rule that `Hypergraph`, `add_edge` and
 `read_hypergraph` share; the reader parses many lines with each
 `json.loads`.  A sampled hypergraph, and one read from a file that
@@ -203,8 +208,9 @@ def remove_vertex(h: Hypergraph, v: int) -> Hypergraph:
 
     The edge count is conserved; v carries no edges afterwards.  No patch
     is required on v here, the permitted-collapse rule lives in
-    `collapse_all`.
+    `collapse_all`.  `v` follows the vertex-id rule of the edges.
     """
+    v = _vertex_id(v)
     if not 0 <= v < h.n_vertices:
         raise ValueError(f"vertex {v} out of range")
     out = Hypergraph(h.n_vertices)
@@ -239,10 +245,13 @@ def collapse_all(h: Hypergraph, rng: np.random.Generator,
 
     The engine works on the canonical instance ordering, so equal
     hypergraph values collapse identically under the same random stream
-    regardless of how they were built.  With a `numpy.random.Generator`,
-    the patch loop runs in the compiled loop of `chain_kernel` when it
-    loads, with the same draws and results.
+    regardless of how they were built.  `rng` must be a
+    `numpy.random.Generator` (TypeError otherwise, before any work); with
+    exactly that type, the patch loop runs in the compiled loop of
+    `chain_kernel` when it loads, with the same draws and results.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     from . import chain_kernel
 
     instances = h.instances()
@@ -259,15 +268,18 @@ def collapse_all(h: Hypergraph, rng: np.random.Generator,
     return CollapseOutcome(identified, stable, stable._edges[()] - h._edges[()], trajectory)
 
 
-def _collapse_steps(n: int, sizes: array, ids: array, rng: np.random.Generator,
-                    record_trajectory: bool):
-    """The patch loop of `collapse_all`: (identified, trajectory).
+def _collapse_steps(n: int, sizes: array, ids: array,
+                    rng: Optional[np.random.Generator], record_trajectory: bool):
+    """The patch loop of `collapse_all` and `identifiable_set`:
+    (identified, trajectory).
 
     Edge e holds `sizes[e]` ids of `ids`, after those of the edges before
     it.  An edge keeps only its remaining size and the XOR of its
-    remaining ids, which is its vertex once one is left.  The reference
-    loop: `chain_kernel.c` runs the same loop with the same draws; tests
-    and the kernel's load-time check compare the two.
+    remaining ids, which is its vertex once one is left.  Each step picks
+    a bag entry: `rng.integers(len(bag))`, or the last entry when `rng` is
+    None, with no draw.  The reference loop: `chain_kernel.c` runs the
+    same loop with the same picks and draws; tests and the kernel's
+    load-time check compare the two.
     """
     left = sizes.tolist()
     ids = ids.tolist()
@@ -288,7 +300,7 @@ def _collapse_steps(n: int, sizes: array, ids: array, rng: np.random.Generator,
     identified: list[int] = []
     trajectory = [(0, patches, debris)] if record_trajectory else None
     while bag:
-        k = int(rng.integers(len(bag)))
+        k = len(bag) - 1 if rng is None else int(rng.integers(len(bag)))
         eid = bag[k]
         if left[eid] != 1:
             # stale entry: this patch lost its vertex to an earlier removal
@@ -314,34 +326,22 @@ def _collapse_steps(n: int, sizes: array, ids: array, rng: np.random.Generator,
 
 
 def identifiable_set(h: Hypergraph) -> set[int]:
-    """Deterministic peeling fixpoint.
+    """The identifiable vertices: those under a patch, and, recursively,
+    every vertex of an edge whose other vertices are all identifiable.
 
-    Seed with every vertex under a patch; a vertex joins when some edge
-    contains it with all other members already in the set.  Equals the set
-    removed by any full collapse (multiplicities are irrelevant here).
+    This is the set any full collapse removes, whatever its order and the
+    edge multiplicities, so it is the patch loop of `collapse_all` run on
+    the distinct edges with the fixed pick (the last bag entry, no draw),
+    compiled when `chain_kernel` loads.  The empty edge is debris to the
+    loop and changes nothing.
     """
-    edges = [e for e in h._edges if e]
-    remaining = [len(e) for e in edges]
-    incidence: dict[int, list[int]] = {}
-    for eid, edge in enumerate(edges):
-        for v in edge:
-            incidence.setdefault(v, []).append(eid)
+    from . import chain_kernel
 
-    identified: set[int] = set()
-    queue = [e[0] for e in edges if len(e) == 1]
-    while queue:
-        v = queue.pop()
-        if v in identified:
-            continue
-        identified.add(v)
-        for eid in incidence.get(v, ()):
-            remaining[eid] -= 1
-            if remaining[eid] == 1:
-                for u in edges[eid]:
-                    if u not in identified:
-                        queue.append(u)
-                        break
-    return identified
+    sizes = array("q", map(len, h._edges))
+    ids = array("q", chain.from_iterable(h._edges))
+    kernel = chain_kernel.load()
+    steps = _collapse_steps if kernel is None else kernel.collapse
+    return set(steps(h.n_vertices, sizes, ids, None, False)[0])
 
 
 def write_hypergraph(h: Hypergraph, path: str) -> None:

@@ -295,3 +295,36 @@ def edges_inside(h: Hypergraph, vertex_set: set[int]) -> int:
     """Number of non-empty edge instances entirely inside vertex_set."""
     return sum(m for e, m in h.edge_counts().items()
                if e and set(e).issubset(vertex_set))
+
+
+def peeling_fixpoint(h: Hypergraph) -> set[int]:
+    """Deterministic peeling fixpoint.
+
+    Seed with every vertex under a patch; a vertex joins when some edge
+    contains it with all other members already in the set.  Equals the set
+    removed by any full collapse (multiplicities are irrelevant here).  A
+    queue over a dict incidence, not the package's patch loop, which both
+    `collapse_all` and `identifiable_set` run.
+    """
+    edges = [e for e in h._edges if e]
+    remaining = [len(e) for e in edges]
+    incidence: dict[int, list[int]] = {}
+    for eid, edge in enumerate(edges):
+        for v in edge:
+            incidence.setdefault(v, []).append(eid)
+
+    identified: set[int] = set()
+    queue = [e[0] for e in edges if len(e) == 1]
+    while queue:
+        v = queue.pop()
+        if v in identified:
+            continue
+        identified.add(v)
+        for eid in incidence.get(v, ()):
+            remaining[eid] -= 1
+            if remaining[eid] == 1:
+                for u in edges[eid]:
+                    if u not in identified:
+                        queue.append(u)
+                        break
+    return identified

@@ -6,7 +6,8 @@ import pytest
 from hypercollapse import (BetaSeries, Hypergraph, chain_kernel, collapse_all,
                            identifiable_set, read_hypergraph, remove_vertex,
                            sample_poisson, write_hypergraph)
-from helpers import edges_inside, per_edge_poisson_sample, plain, random_hypergraph
+from helpers import (edges_inside, peeling_fixpoint, per_edge_poisson_sample, plain,
+                     random_hypergraph)
 
 
 def assert_both_loops_collapse_alike(h, make_rng):
@@ -162,6 +163,16 @@ class TestRemoveVertex:
             v = int(rng.integers(h.n_vertices))
             assert remove_vertex(h, v).stats().total == h.stats().total
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_rejects_ids_that_are_not_integers(self, bad):
+        h = Hypergraph(3, [(0, 1), (1,)])
+        with pytest.raises(ValueError, match="must be an integer"):
+            remove_vertex(h, bad)
+
+    def test_takes_a_numpy_integer(self):
+        h = Hypergraph(3, [(0, 1), (1,)])
+        assert remove_vertex(h, np.int64(1)) == Hypergraph(3, [(0,), ()])
+
 
 class TestCollapseAll:
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
@@ -173,6 +184,13 @@ class TestCollapseAll:
             outcome = assert_both_loops_collapse_alike(
                 h, lambda: np.random.Generator(bit_generator(5)))
             assert len(outcome.identified) > n // 2
+
+    @pytest.mark.parametrize("rng", [None, np.random.RandomState(0)])
+    def test_refuses_an_rng_that_is_not_a_generator(self, rng, monkeypatch):
+        # before any work: not even the edges are listed
+        monkeypatch.setattr(Hypergraph, "instances", None)
+        with pytest.raises(TypeError, match="must be a numpy.random.Generator"):
+            collapse_all(Hypergraph(2, [(0,), (0, 1)]), rng)
 
     def test_forced_two_step_sequence(self):
         h = Hypergraph(2, [(0,), (0, 1)])
@@ -205,7 +223,8 @@ class TestCollapseAll:
             outcomes = [collapse_all(h, np.random.default_rng(seed))
                         for seed in range(5)]
             first = outcomes[0]
-            peeled = identifiable_set(h)
+            peeled = peeling_fixpoint(h)
+            assert identifiable_set(h) == peeled
             assert set(first.identified) == peeled
             for other in outcomes[1:]:
                 assert set(other.identified) == peeled
@@ -236,15 +255,15 @@ class TestCollapseAll:
 class TestIdentifiableSet:
     def test_hand_peeling_blocked_pair(self):
         h = Hypergraph(4, [(0,), (0, 1), (1, 2, 3)])
-        assert identifiable_set(h) == {0, 1}
+        assert identifiable_set(h) == peeling_fixpoint(h) == {0, 1}
 
     def test_no_patches_means_empty(self):
         h = Hypergraph(4, [(0, 1), (1, 2, 3)])
-        assert identifiable_set(h) == set()
+        assert identifiable_set(h) == peeling_fixpoint(h) == set()
 
     def test_hand_peeling_full_cascade(self):
         h = Hypergraph(4, [(0,), (0, 1), (0, 2), (1, 2, 3)])
-        assert identifiable_set(h) == {0, 1, 2, 3}
+        assert identifiable_set(h) == peeling_fixpoint(h) == {0, 1, 2, 3}
 
     def test_monotone_in_edges(self):
         rng = np.random.default_rng(300)
@@ -256,7 +275,21 @@ class TestIdentifiableSet:
                                                      replace=False))
             bigger = h.copy()
             bigger.add_edge(extra)
+            assert before == peeling_fixpoint(h)
             assert before.issubset(identifiable_set(bigger))
+            assert identifiable_set(bigger) == peeling_fixpoint(bigger)
+
+    def test_moves_no_random_stream(self):
+        # it takes no generator and draws from none, the global one included
+        h = sample_poisson(500, BetaSeries((0.0, 0.2, 0.8, 0.6)), np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        state, legacy = plain(rng.bit_generator.state), plain(np.random.get_state(legacy=False))
+        for load in (chain_kernel.load, lambda: None):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(chain_kernel, "load", load)
+                assert identifiable_set(h) == peeling_fixpoint(h)
+        assert plain(rng.bit_generator.state) == state
+        assert plain(np.random.get_state(legacy=False)) == legacy
 
 
 class TestFileFormat:

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+from array import array
 from itertools import chain as chained
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain,
                            chain_kernel, collapse_all, edge_rate_curve, hypergraph,
                            identifiable_set, read_hypergraph, run_replicas,
                            write_hypergraph)
-from helpers import per_line_read
+from helpers import peeling_fixpoint, per_line_read
 from test_hypergraph import assert_both_loops_collapse_alike
 from test_montecarlo import reference_deviation
 
@@ -198,16 +199,33 @@ def test_reader_round_trips_the_writer(h):
 @given(h=hypergraphs(), seeds=st.lists(seeds, min_size=2, max_size=3, unique=True))
 def test_collapse_keeps_the_edges_and_finds_the_peeling_fixpoint(h, seeds):
     outcomes = [collapse_all(h, np.random.default_rng(seed)) for seed in seeds]
-    peeled = identifiable_set(h)
+    peeled = peeling_fixpoint(h)
     for outcome in outcomes:
         assert outcome.stable.stats().total == h.stats().total
         assert len(set(outcome.identified)) == len(outcome.identified)
         assert set(outcome.identified) == peeled
         assert outcome.stable == outcomes[0].stable
         assert outcome.identifiable_edge_count == outcomes[0].identifiable_edge_count
+    for load in (chain_kernel.load, lambda: None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_kernel, "load", load)
+            assert identifiable_set(h) == peeled
 
 
 @PROPERTY
 @given(h=hypergraphs(), seed=seeds)
 def test_compiled_collapse_matches_the_python_loop_draw_for_draw(kernel, h, seed):
     assert_both_loops_collapse_alike(h, lambda: np.random.default_rng(seed))
+
+
+@PROPERTY
+@given(h=hypergraphs())
+def test_compiled_fixed_pick_removes_in_the_python_order(kernel, h):
+    # every instance, so that repeated patches leave stale bag entries
+    instances = h.instances()
+    sizes = array("q", map(len, instances))
+    ids = array("q", chained.from_iterable(instances))
+    got = kernel.collapse(h.n_vertices, sizes, ids, None, True)
+    want = hypergraph._collapse_steps(h.n_vertices, sizes, ids, None, True)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
