@@ -2,9 +2,8 @@
 
 from .chain import ChainRun, edge_rate_curve, run
 from .fluid import (FluctuationSample, FluidModel, diffusion_factors, drift,
-                    drift_jacobian, limit_fractions, patch_overlap_average,
-                    path, path_grid, sample_limit_fraction, sigma_sq,
-                    simulate_fluctuation)
+                    limit_fractions, patch_overlap_average, path, path_grid,
+                    sample_limit_fraction, sigma_sq, simulate_fluctuation)
 from .hypergraph import (CollapseOutcome, Hypergraph, collapse_all,
                          identifiable_set, read_hypergraph, remove_vertex,
                          sample_poisson, write_hypergraph)
@@ -25,9 +24,9 @@ __all__ = [
     "Hypergraph", "CollapseOutcome", "sample_poisson", "remove_vertex",
     "collapse_all", "identifiable_set", "read_hypergraph", "write_hypergraph",
     "ChainRun", "edge_rate_curve", "run",
-    "FluidModel", "FluctuationSample", "drift", "drift_jacobian",
-    "diffusion_factors", "path", "path_grid", "limit_fractions", "sigma_sq",
-    "sample_limit_fraction", "simulate_fluctuation", "patch_overlap_average",
+    "FluidModel", "FluctuationSample", "drift", "diffusion_factors", "path",
+    "path_grid", "limit_fractions", "sigma_sq", "sample_limit_fraction",
+    "simulate_fluctuation", "patch_overlap_average",
     "ExperimentConfig", "ExperimentResult", "ReplicaRecord", "AggregateRow",
     "run_replicas", "concentration_curve", "config_from_json",
     "derive_seed", "stream",

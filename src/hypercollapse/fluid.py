@@ -10,11 +10,14 @@ whose velocity is the drift field of the one-step jump.  Note the third
 drift component is 1 + x2/(1 - x1): every removal converts the selected
 patch into one unit of debris (the constant 1) on top of the shared
 patches it drags along.  The diffusion part is factored into three
-columns whose outer products sum to the jump covariance, and the patch
-fluctuation around the path, normalized by 1 - t, is a Brownian motion
-run at the clock sigma_sq(t).  Each closed form here is cross-checked
-against an independent numerical oracle in the tests (finite differences,
-brute-force moments, quadrature).
+columns whose outer products sum to the jump covariance.  The Gaussian
+fluctuation around the path has closed-form covariances: the patch
+fluctuation normalized by 1 - t is a Brownian motion run at the clock
+sigma_sq(t), and `simulate_fluctuation` samples the limit exactly.  Each
+closed form here is cross-checked in the tests against an independent
+numerical oracle (the path's difference quotient, brute-force jump
+moments, quadrature, an Euler integration of the fluctuation equation)
+or against the chain itself.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .series import (BetaSeries, CriticalStructure, T_CAP, critical_structure,
-                     deficiency, deficiency_grid, evaluate, evaluate_grid)
+                     deficiency, deficiency_grid, evaluate, evaluate_grid, whole)
 from .series import _check_grid, _check_t as _check_unit_t
 
 CURVE_COLUMNS = ("t", "x1", "x2", "x3", "f", "sigma_sq")
@@ -58,18 +61,6 @@ def drift(x, series: BetaSeries) -> np.ndarray:
     shared = x2 / remaining
     conversions = remaining * evaluate(series, x1, 2)
     return np.array([1.0, -1.0 - shared + conversions, 1.0 + shared])
-
-
-def drift_jacobian(x, series: BetaSeries) -> np.ndarray:
-    """Gradient of the drift field, in closed form."""
-    x1, x2, remaining = _as_state(x)
-    d21 = (-x2 / remaining ** 2 - evaluate(series, x1, 2)
-           + remaining * evaluate(series, x1, 3))
-    return np.array([
-        [0.0, 0.0, 0.0],
-        [d21, -1.0 / remaining, 0.0],
-        [x2 / remaining ** 2, 1.0 / remaining, 0.0],
-    ])
 
 
 def diffusion_factors(x, series: BetaSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,48 +177,56 @@ def simulate_fluctuation(series: BetaSeries, t_end: float, n_steps: int,
                          rng: np.random.Generator, n_paths: int = 1,
                          critical: Optional[CriticalStructure] = None
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler integration of the linear fluctuation equation along the path.
+    """Exact draws of the Gaussian fluctuation limit on a uniform grid.
 
-    Starts from the exact initial law (0, Normal(0, b1), Normal(0, b0)),
-    driven by the first two diffusion factors only; the third factor
-    belongs to a clock randomization the discrete chain does not have.
-    The first component stays exactly zero.  Returns (times, paths) with
-    paths shaped (n_paths, n_steps + 1, 3); n_paths > 1 integrates
-    independent replicas in one vectorized pass.
+    The limit g = (g1, g2, g3) has g1 = 0.  M = g2/(1-t) and S = g2 + g3
+    are driftless Gaussian processes with independent increments:
+
+        Var M_t = sigma_sq(t),  Var S_t = b(t) + (1-t) b'(t),
+        Cov(M_t, S_t) = b'(t),
+
+    which at t = 0 is the initial law (0, Normal(0, b1), Normal(0, b0)).
+    Only the shared-patch and conversion noise drive it; the clock noise
+    of the third diffusion factor is absent from the discrete chain.  Each
+    grid step draws its increment of (M, S) through a 2x2 Cholesky factor,
+    so any n_steps >= 1 samples the limit without discretisation error.
+    Returns (times, paths) with paths shaped (n_paths, n_steps + 1, 3), a
+    transposed view of one buffer.
     """
     if critical is None:
         critical = critical_structure(series)
     t_end = float(t_end)
     if not 0.0 < t_end < min(critical.z_star, 1.0):
         raise ValueError("t_end must be in (0, z_star)")
-    n_steps = int(n_steps)
-    if n_steps < 1000 or n_steps < 100.0 * t_end / (1.0 - t_end):
-        raise ValueError("n_steps too small for a stable integration "
-                         "(need >= 1000 and >= 100*t_end/(1-t_end))")
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    n_steps = whole("n_steps", n_steps)
+    n_paths = whole("n_paths", n_paths)
+    if n_steps < 1 or n_paths < 1:
+        raise ValueError(f"n_steps and n_paths must be >= 1, got {n_steps} and {n_paths}")
 
     ts = np.linspace(0.0, t_end, n_steps + 1)
-    dt = t_end / n_steps
-    sqdt = math.sqrt(dt)
-    g = np.zeros((n_paths, 3))
-    g[:, 1] = rng.normal(0.0, math.sqrt(series.coeff(1)), n_paths)
-    g[:, 2] = rng.normal(0.0, math.sqrt(series.coeff(0)), n_paths)
-    out = np.empty((n_paths, n_steps + 1, 3))
-    out[:, 0] = g
-    for k in range(n_steps):
-        t = float(ts[k])
-        x = path(t, series)
-        jac = drift_jacobian(x, series)
-        # tangency grazing can put x2 at -1e-18; the noise scale is zero there
-        v1, v2, _ = diffusion_factors((x[0], max(x[1], 0.0), x[2]), series)
-        noise1 = rng.standard_normal(n_paths) * (v1[1] * sqdt)
-        noise2 = rng.standard_normal(n_paths) * (v2[1] * sqdt)
-        g = g + dt * (g @ jac.T)
-        g[:, 1] += noise1 + noise2
-        g[:, 2] -= noise1
-        out[:, k + 1] = g
-    return ts, out
+    slope = evaluate_grid(series, ts, 1)
+    var_m = (deficiency_grid(series, ts) + ts) / (1.0 - ts)
+    var_s = evaluate_grid(series, ts, 0) + (1.0 - ts) * slope
+    d_m, d_s, d_c = (np.diff(v, prepend=0.0) for v in (var_m, var_s, slope))
+    # tangency grazing within the tolerance can round these below zero
+    l11 = np.sqrt(np.maximum(d_m, 0.0))
+    l21 = np.divide(d_c, l11, out=np.zeros_like(d_c), where=l11 > 0.0)
+    l22 = np.sqrt(np.maximum(d_s - l21 ** 2, 0.0))
+
+    # planes 1 and 2 take the normals, then the increments of M and S, then
+    # their running sums; plane 0 is scratch until it is zeroed
+    out = np.empty((3, n_paths, n_steps + 1))
+    m, s = out[1], out[2]
+    rng.standard_normal(out=m)
+    rng.standard_normal(out=s)
+    s *= l22
+    s += np.multiply(m, l21, out=out[0])
+    m *= l11
+    out[0] = 0.0
+    np.cumsum(out, axis=2, out=out)
+    m *= 1.0 - ts
+    s -= m
+    return ts, out.transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,43 @@ def piecewise_quad(fn, a: float, b: float, pieces: int = 10) -> float:
     return total
 
 
+def euler_fluctuation(coeffs, t_end: float, n_steps: int, rng: np.random.Generator,
+                      n_paths: int) -> np.ndarray:
+    """Euler integration of the linear fluctuation equation; the (n_paths, 3)
+    values at t_end.
+
+    dg = J(x_t) g dt + v1 dW1 + v2 dW2 along the path
+    x_t = (t, (1-t) f(t), b(t) - (1-t) log(1-t)) with f = b' + log(1-t),
+    from g0 = (0, Normal(0, b1), Normal(0, b0)).  J is the Jacobian of the
+    mean jump (1, -1 - x2/(1-x1) + (1-x1) b''(x1), 1 + x2/(1-x1)); v1 is the
+    shared-patch noise (0, s, -s) with s^2 = x2/(1-x1) and v2 the 2-edge
+    conversion noise (0, c, 0) with c^2 = (1-x1) b''(x1).  Everything comes
+    from the raw coefficients.
+    """
+    b = np.polynomial.Polynomial(coeffs)
+    db, d2b, d3b = b.deriv(1), b.deriv(2), b.deriv(3)
+    dt = t_end / n_steps
+    g = np.zeros((n_paths, 3))
+    g[:, 1] = rng.normal(0.0, math.sqrt(db(0.0)), n_paths)
+    g[:, 2] = rng.normal(0.0, math.sqrt(b(0.0)), n_paths)
+    for k in range(n_steps):
+        t = k * dt
+        rem = 1.0 - t
+        x2 = rem * (db(t) + math.log1p(-t))
+        jac = np.array([
+            [0.0, 0.0, 0.0],
+            [-x2 / rem ** 2 - d2b(t) + rem * d3b(t), -1.0 / rem, 0.0],
+            [x2 / rem ** 2, 1.0 / rem, 0.0],
+        ])
+        # tangency grazing can put x2 at -1e-18; the noise scale is zero there
+        shared = rng.standard_normal(n_paths) * math.sqrt(max(x2, 0.0) / rem * dt)
+        conversion = rng.standard_normal(n_paths) * math.sqrt(rem * d2b(t) * dt)
+        g = g + dt * (g @ jac.T)
+        g[:, 1] += shared + conversion
+        g[:, 2] -= shared
+    return g
+
+
 def edges_inside(h: Hypergraph, vertex_set: set[int]) -> int:
     """Number of non-empty edge instances entirely inside vertex_set."""
     return sum(m for e, m in h.edge_counts().items()

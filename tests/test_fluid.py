@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,18 +9,22 @@ from scipy.stats import norm
 from hypercollapse import (BetaSeries, CriticalStructure, FluidModel,
                            critical_alpha, critical_structure,
                            deficiency, diffusion_factors, drift,
-                           drift_jacobian, evaluate, from_binomial_family,
+                           edge_rate_curve, evaluate, from_binomial_family,
                            from_graph_params, limit_fractions,
-                           patch_overlap_average, path, path_grid,
+                           patch_overlap_average, path, path_grid, run,
                            sample_limit_fraction, sigma_sq,
-                           simulate_fluctuation)
-from helpers import central_difference, jump_moment_matrix, piecewise_quad
+                           simulate_fluctuation, stream)
+from helpers import (central_difference, euler_fluctuation, jump_moment_matrix,
+                     piecewise_quad)
 
 
 EX1 = from_graph_params(0.1, 0.5)
 EX2_SUB = from_binomial_family(1185.0)
 ZERO = BetaSeries((0.0,))
 PATCHES_ONLY = BetaSeries((0.0, math.log(2.0)))
+CUBIC = BetaSeries((0.3, 0.8, 0.6, 0.4))
+ALPHA = 1e-3            # two-sided level of each moment check, as in the acceptance battery
+Z_ALPHA = norm.ppf(1.0 - ALPHA / 2.0)
 
 
 def tangent_model():
@@ -38,7 +43,7 @@ class TestDrift:
         assert drift((0.5, 0.2, 0.0), ZERO) == pytest.approx([1.0, -1.4, 1.4])
 
     def test_singularity(self):
-        for field in (drift, drift_jacobian, diffusion_factors):
+        for field in (drift, diffusion_factors):
             with pytest.raises(ValueError, match="singular"):
                 field((1.0, 0.2, 0.0), EX1)
 
@@ -46,49 +51,6 @@ class TestDrift:
         series, _, zeta0 = tangent_model()
         b = drift(path(zeta0, series), series)
         assert abs(b[1]) < 1e-8
-
-
-class TestDriftJacobian:
-    def test_zero_series_rows(self):
-        jac = drift_jacobian((0.0, 1.0, 0.0), ZERO)
-        assert jac == pytest.approx(np.array([[0.0, 0.0, 0.0],
-                                              [-1.0, -1.0, 0.0],
-                                              [1.0, 1.0, 0.0]]))
-
-    def test_first_row_is_zero(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = (0.9 * rng.random(), 2 * rng.random(), 2 * rng.random())
-            assert np.all(drift_jacobian(x, EX1)[0] == 0.0)
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(2)
-        h = 1e-5
-        for series in (EX1, BetaSeries((0.1, 0.3, 0.2, 0.15, 0.05))):
-            for _ in range(50):
-                x = np.array([h + (0.9 - 2 * h) * rng.random(),
-                              2 * rng.random(), 2 * rng.random()])
-                jac = drift_jacobian(x, series)
-                for col in range(3):
-                    e = np.zeros(3)
-                    e[col] = 1.0
-                    fd = (drift(x + h * e, series) - drift(x - h * e, series)) / (2 * h)
-                    # absolute at unit scale; relative once the 1/(1-x1)
-                    # singularity inflates entries past the fd truncation
-                    assert jac[:, col] == pytest.approx(fd, abs=1e-6, rel=1e-8)
-
-    def test_matches_finite_differences_steep_series(self):
-        rng = np.random.default_rng(3)
-        h = 1e-5
-        for _ in range(30):
-            x = np.array([h + (0.9 - 2 * h) * rng.random(),
-                          2 * rng.random(), 2 * rng.random()])
-            jac = drift_jacobian(x, EX2_SUB)
-            for col in range(3):
-                e = np.zeros(3)
-                e[col] = 1.0
-                fd = (drift(x + h * e, EX2_SUB) - drift(x - h * e, EX2_SUB)) / (2 * h)
-                assert jac[:, col] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
 class TestDiffusionFactors:
@@ -237,6 +199,28 @@ class TestSampleLimitFraction:
             CriticalStructure(z_star=0.9, zeta=(0.4, 0.2), tangency_tolerance=1e-9)
 
 
+def limit_moments(series: BetaSeries, t: float) -> np.ndarray:
+    """Closed-form (Var M, Var S, Cov(M, S)) of the Gaussian limit at t, for
+    M = g2/(1-t) and S = g2 + g3."""
+    slope = evaluate(series, t, 1)
+    return np.array([sigma_sq(t, series), evaluate(series, t, 0) + (1 - t) * slope,
+                     slope])
+
+
+def sample_moments(g: np.ndarray, t: float) -> np.ndarray:
+    """Sample (Var M, Var S, Cov(M, S)) of fluctuation rows g = (g1, g2, g3)."""
+    c = np.cov(g[:, 1] / (1.0 - t), g[:, 1] + g[:, 2])
+    return np.array([c[0, 0], c[1, 1], c[0, 1]])
+
+
+def moment_sd(moments: np.ndarray, n: int) -> np.ndarray:
+    """Standard deviations of the three sample moments of n Gaussian pairs
+    with these moments: Var(s_ij) = (m_ij^2 + m_ii m_jj) / (n - 1)."""
+    var_m, var_s, cov = moments
+    return np.sqrt(np.array([2 * var_m ** 2, 2 * var_s ** 2, cov ** 2 + var_m * var_s])
+                   / (n - 1))
+
+
 class TestSimulateFluctuation:
     def test_first_component_stays_zero(self):
         ts, paths = simulate_fluctuation(PATCHES_ONLY, 0.3, 1000,
@@ -266,17 +250,66 @@ class TestSimulateFluctuation:
                      for i, t in zip(idx, (0.15, 0.3, 0.45))]
         assert variances[0] < variances[1] < variances[2]
 
-    def test_step_count_guard(self):
+    def test_one_step_matches_fine_grid(self):
+        # an exact sampler has no discretisation error: 1 step and 1000
+        # steps give the same terminal law; level ALPHA on each difference
+        t, n = 0.25, 4000
+        _, coarse = simulate_fluctuation(CUBIC, t, 1, np.random.default_rng(6), n_paths=n)
+        _, fine = simulate_fluctuation(CUBIC, t, 1000, np.random.default_rng(7), n_paths=n)
+        gap = np.abs(sample_moments(coarse[:, -1], t) - sample_moments(fine[:, -1], t))
+        assert np.all(gap <= Z_ALPHA * math.sqrt(2.0) * moment_sd(limit_moments(CUBIC, t), n))
+
+    def test_terminal_moments_match_euler_oracle(self):
+        # exact sampler on 4 steps vs the Euler oracle on 500 (dt = 5e-4,
+        # whose bias is below 0.1%), 40k paths each: each gap of Var M,
+        # Var S and Cov(M, S) within the level-ALPHA two-sided interval
+        # of a difference of two independent sample moments
+        t, n = 0.25, 40_000
+        _, paths = simulate_fluctuation(CUBIC, t, 4, np.random.default_rng(21), n_paths=n)
+        oracle = euler_fluctuation(CUBIC.coeffs, t, 500, np.random.default_rng(22), n)
+        gap = np.abs(sample_moments(paths[:, -1], t) - sample_moments(oracle, t))
+        assert np.all(gap <= Z_ALPHA * math.sqrt(2.0) * moment_sd(limit_moments(CUBIC, t), n))
+
+    @pytest.mark.parametrize("n_steps, n_paths", [
+        (1000.7, 1), (0, 1), (-5, 1), (True, 1), ("10", 1),
+        (10, True), (10, 2.5), (10, "3"), (10, 0), (10, math.nan)])
+    def test_counts_must_be_whole_and_positive(self, n_steps, n_paths):
         with pytest.raises(ValueError):
-            simulate_fluctuation(PATCHES_ONLY, 0.3, 500, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            # 100 * t/(1-t) exceeds 1000 for t close to 1
-            simulate_fluctuation(BetaSeries((0.0, 10.0)), 0.99, 1000,
-                                 np.random.default_rng(0))
+            simulate_fluctuation(PATCHES_ONLY, 0.3, n_steps, np.random.default_rng(0),
+                                 n_paths=n_paths)
 
     def test_horizon_must_precede_threshold(self):
         with pytest.raises(ValueError):
             simulate_fluctuation(PATCHES_ONLY, 0.6, 2000, np.random.default_rng(0))
+
+
+def test_chain_fluctuations_match_gaussian_limit():
+    """The chain's fluctuation at t = 0.1 against the Gaussian limit.
+
+    EX1 at N = 1e5: replicas r < 3000 on stream(7, r), sharing one rate
+    table.  Row k = 10_000 (t = 0.1) of each trajectory maps to
+    g = (count - N path(t)) / sqrt(N), with M = g2/(1-t) and S = g2 + g3.
+    Each sample moment (Var M, Var S, Cov(M, S)) must lie in the two-sided
+    level-1e-3 interval m +- 3.29 sd around the limit's closed form m, where
+    sd^2 = (m_ij^2 + m_ii m_jj) / 2999 is the variance of that sample moment
+    over 3000 Gaussian pairs; the limit values are 0.1667, 0.1529 and
+    0.1554, and the intervals are about +-8.5%, +-8.5% and +-8.6% of them.
+    """
+    n_vertices, k, replicas = 100_000, 10_000, 3000
+    t = k / n_vertices
+    table = edge_rate_curve(n_vertices, 2, EX1)
+
+    def row(r: int) -> np.ndarray:
+        return run(n_vertices, EX1, stream(7, r), record_trajectory=True,
+                   rate_table=table).trajectory[k]
+
+    # the compiled steps release the interpreter lock
+    with ThreadPoolExecutor(2) as pool:
+        rows = np.array(list(pool.map(row, range(replicas))))
+    assert np.all(rows[:, 0] == k)
+    g = (rows - n_vertices * path(t, EX1)) / math.sqrt(n_vertices)
+    got, want = sample_moments(g, t), limit_moments(EX1, t)
+    assert np.all(np.abs(got - want) <= Z_ALPHA * moment_sd(want, replicas)), (got, want)
 
 
 class TestFluidModel:
