@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .series import BetaSeries
+from .series import BetaSeries, whole
 
 
 def edge_rate_curve(n_vertices: int, size: int, series: BetaSeries) -> np.ndarray:
@@ -35,7 +35,7 @@ def edge_rate_curve(n_vertices: int, size: int, series: BetaSeries) -> np.ndarra
     given n the running product hits an exact zero factor, so the
     truncation is automatic.
     """
-    N, j = int(n_vertices), int(size)
+    N, j = whole("n_vertices", n_vertices), whole("size", size)
     if N < 1:
         raise ValueError("need at least one vertex")
     if j < 0 or j > N:
@@ -99,7 +99,7 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     """
     from . import chain_kernel
 
-    N = int(n_vertices)
+    N = whole("n_vertices", n_vertices)
     if N < 1:
         raise ValueError("need at least one vertex")
     if rate_table is None:

@@ -251,6 +251,7 @@ class FluidModel:
 
     def curve(self, grid_points: int = 1001) -> np.ndarray:
         """Columns t, x1, x2, x3, f, sigma_sq on a uniform grid to t_max."""
+        grid_points = whole("grid_points", grid_points)
         if grid_points < 2:
             raise ValueError("need at least two grid points")
         ts = np.linspace(0.0, self.t_max, grid_points)

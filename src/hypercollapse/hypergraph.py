@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from operator import lt
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -366,7 +366,8 @@ def read_hypergraph(path: str) -> Hypergraph:
     which `Hypergraph`'s edge rule checks; lines end in LF, CRLF or CR.
     Anything else raises ValueError naming the path and the first bad
     line.  The edge lines are parsed and checked in batches of about
-    `_BATCH_CHARS` characters.
+    `_BATCH_CHARS` characters; a batch that fails is checked again one
+    line at a time, in file order, to find that line.
     """
     first, _, body = _read_text(path).partition("\n")
     try:
@@ -386,9 +387,12 @@ def read_hypergraph(path: str) -> Hypergraph:
         try:
             h._edges.update(check(edge_lines))
         except ValueError:
-            bad, exc = _first_failure(check, edge_lines)
-            bad_line = [no for no, line in enumerate(lines, lineno) if line.strip()][bad]
-            raise ValueError(f"{path}, line {bad_line}: {exc}") from None
+            for no, line in enumerate(lines, lineno):
+                try:
+                    check([line] if line.strip() else [])
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {no}: {exc}") from None
+            raise AssertionError("the batch failed but none of its lines alone")
         lineno += len(lines)
         start = end + 1
     return h
@@ -430,22 +434,3 @@ def _edge_lines(n: int, lines: list[str]) -> list[tuple[int, ...]]:
         raise ValueError("an edge line must be one JSON array")
     return _canonical_edges(n, edges)
 
-
-def _first_failure(check: Callable[[list], object], items: list) -> tuple[int, ValueError]:
-    """Index and error of the first item that `check` refuses, given that it
-    refuses `items` and judges each item on its own.  Halving the range
-    that holds the first refused item costs about len(items) item checks."""
-    lo, hi = 0, len(items)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            check(items[lo:mid])
-        except ValueError:
-            hi = mid
-        else:
-            lo = mid
-    try:
-        check(items[lo:hi])
-    except ValueError as exc:
-        return lo, exc
-    raise AssertionError("the check refused the items but no item alone")

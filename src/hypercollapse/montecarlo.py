@@ -13,6 +13,7 @@ from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import index
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,9 +35,9 @@ def _mix64(x: int) -> int:
 
 
 def _mix_chain(master_seed: int, key: Sequence[int], salt: int) -> int:
-    state = _mix64((int(master_seed) ^ salt) & _MASK64)
+    state = _mix64((index(master_seed) ^ salt) & _MASK64)
     for k in key:
-        state = _mix64(state ^ _mix64((int(k) + salt) & _MASK64))
+        state = _mix64(state ^ _mix64((index(k) + salt) & _MASK64))
     return state
 
 
@@ -44,7 +45,8 @@ def derive_seed(master_seed: int, *key: int) -> int:
     """Derive a 128-bit stream seed from the master seed and an integer key path.
 
     Two SplitMix64 mixing chains with different salts supply the low and
-    high words.  Distinct key paths give distinct seeds up to a ~2**-128
+    high words.  The seed and keys must be integers (2.7 is a TypeError,
+    not 2).  Distinct key paths give distinct seeds up to a ~2**-128
     collision chance; a scan test checks a million derived seeds.
     """
     lo = _mix_chain(master_seed, key, 0x243F6A8885A308D3)
@@ -130,29 +132,26 @@ class ExperimentResult:
     aggregates: list[AggregateRow]
 
 
-def _replica_batch(series: BetaSeries, n_vertices: int, table: np.ndarray, lo: int,
-                   hi: int, master_seed: int, want_deviation: bool) -> list[ReplicaRecord]:
+def _replica_batch(series: BetaSeries, n_vertices: int, table: np.ndarray,
+                   fluid: Optional[np.ndarray], lo: int, hi: int,
+                   master_seed: int) -> list[ReplicaRecord]:
     """Run replicas lo..hi-1 for one vertex count on its rate table `table`.
 
-    The deviation is the largest distance in patches or debris from the
-    fluid path, over the recorded rows at t = removed/N capped below 1.
-    Row k has removed = k, so one path table serves the batch: it grows
-    only when a replica outruns every earlier one, and since `path_grid`
-    works element by element its prefix equals a fresh call.
+    `fluid` is the vertex count's fluid path at t = k/N capped below 1, one
+    row per k = 0..N, or None for no deviation.  The deviation is the
+    largest distance in patches or debris from that path over the recorded
+    rows; row k of a trajectory has removed = k, so it meets row k of the
+    path.
     """
-    fluid = np.empty((0, 3))
     records = []
     for replica in range(lo, hi):
         seed = derive_seed(master_seed, n_vertices, replica)
         rng = np.random.Generator(np.random.PCG64(seed))
         result = run(n_vertices, series, rng,
-                     record_trajectory=want_deviation, rate_table=table)
+                     record_trajectory=fluid is not None, rate_table=table)
         deviation = None
-        if want_deviation:
+        if fluid is not None:
             traj = result.trajectory
-            if len(traj) > len(fluid):
-                fluid = path_grid(np.minimum(np.arange(len(traj)) / n_vertices, T_CAP),
-                                  series)
             deviation = float(np.abs(traj[:, 1:] / n_vertices
                                      - fluid[:len(traj), 1:]).max())
         records.append(ReplicaRecord(
@@ -170,18 +169,20 @@ def _replica_batch(series: BetaSeries, n_vertices: int, table: np.ndarray, lo: i
 def run_replicas(config: ExperimentConfig) -> ExperimentResult:
     """Run the whole sweep; record order is canonical (n_vertices, replica).
 
-    The sweep is one ordered list of (n, table, lo, hi) batches sharing one
-    rate table per N: with one worker, one batch per N in the calling thread
-    (a pool of one slowed the sweeps); else about four per worker on threads.
+    Each N gets one rate table and, when trajectories are recorded, one
+    fluid-path table of N+1 rows; the sweep is one ordered list of batches
+    of about replicas / (4 * workers) replicas that share them.  One worker
+    runs the batches in the calling thread, more run them on threads.
     """
-    chunk = config.replicas
-    if config.workers > 1:
-        chunk = max(1, math.ceil(config.replicas / (4 * config.workers)))
-    tables = {n: edge_rate_curve(n, 2, config.series) for n in config.n_values}
-    jobs = [(n, tables[n], lo, min(lo + chunk, config.replicas))
+    series = config.series
+    tables = {n: (edge_rate_curve(n, 2, series),
+                  path_grid(np.minimum(np.arange(n + 1) / n, T_CAP), series)
+                  if config.record_trajectory else None)
+              for n in config.n_values}
+    chunk = max(1, math.ceil(config.replicas / (4 * config.workers)))
+    jobs = [(n, *tables[n], lo, min(lo + chunk, config.replicas))
             for n in config.n_values for lo in range(0, config.replicas, chunk)]
-    batch = partial(_replica_batch, config.series, master_seed=config.master_seed,
-                    want_deviation=config.record_trajectory)
+    batch = partial(_replica_batch, series, master_seed=config.master_seed)
     if config.workers == 1:
         batches = list(map(batch, *zip(*jobs)))
     else:
@@ -213,7 +214,7 @@ def concentration_curve(config: ExperimentConfig, delta: float) -> list[tuple[in
     The supremum runs over the recorded trajectory mapped to t = removed/N
     and stops at absorption.  Expected to decay with n_vertices.
     """
-    result = run_replicas(replace(config, delta=float(delta)))
+    result = run_replicas(replace(config, delta=delta))
     return [(row.n_vertices, row.dev_freq) for row in result.aggregates]
 
 

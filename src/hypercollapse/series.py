@@ -269,6 +269,7 @@ def critical_alpha(family: Callable[[float], BetaSeries],
     16384 points and refined by golden-section search; the bisection stops
     at width 1e-12 * max(|alpha|, 1).
     """
+    _check_tolerance(tangency_tolerance)
     lo, hi = float(alpha_lo), float(alpha_hi)
     if lo > hi:
         raise BracketError("alpha_lo must not exceed alpha_hi")
@@ -323,6 +324,7 @@ def from_binomial_family(alpha: float, base: float = 0.1, slope: float = 0.9,
     """Series with b(t) = alpha * (base + slope*t)**power, expanded to coefficients."""
     if alpha < 0.0 or base < 0.0 or slope < 0.0:
         raise ValueError("family parameters must be non-negative")
+    power = whole("power", power)
     if power < 1:
         raise ValueError("power must be a positive integer")
     return BetaSeries(tuple(

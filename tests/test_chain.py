@@ -52,6 +52,13 @@ class TestEdgeRate:
         with pytest.raises(ValueError):
             edge_rate_curve(10, 11, SMALL)
 
+    @pytest.mark.parametrize("n_vertices, size, name", [
+        (100.7, 2, "n_vertices"), ("50", 2, "n_vertices"), (True, 2, "n_vertices"),
+        (100, 2.5, "size"), (100, True, "size")])
+    def test_counts_must_be_whole(self, n_vertices, size, name):
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            edge_rate_curve(n_vertices, size, SMALL)
+
     def test_rate_approximation_improves_with_scale(self):
         # N * rate at size 2 approaches b''(n/N); the sup error over the
         # first 90% of removals shrinks roughly like (log N)^2 / N
@@ -182,6 +189,11 @@ class TestRun:
                 assert got_state == want_state
                 absorbed += want.removed
         assert absorbed > 0
+
+    @pytest.mark.parametrize("n_vertices", [100.7, "50", True, math.nan])
+    def test_vertex_count_must_be_whole(self, n_vertices):
+        with pytest.raises(ValueError, match="n_vertices must be a whole number"):
+            run(n_vertices, EX1, np.random.default_rng(0))
 
     def test_rate_table_argument_changes_nothing(self):
         table = edge_rate_curve(60, 2, EX1)

@@ -230,8 +230,9 @@ class TestSimulateFluctuation:
         assert ts[-1] == pytest.approx(0.3)
 
     def test_patch_variance_matches_clock(self):
-        # var of the normalized patch fluctuation at t = 0.3 vs sigma_sq
-        ts, paths = simulate_fluctuation(PATCHES_ONLY, 0.3, 1500,
+        # var of the normalized patch fluctuation at t = 0.3 vs sigma_sq; the
+        # sampler is exact, so one step reaches t = 0.3 without error
+        ts, paths = simulate_fluctuation(PATCHES_ONLY, 0.3, 1,
                                          np.random.default_rng(3), n_paths=10_000)
         alpha = paths[:, -1, 1] / (1.0 - 0.3)
         want = sigma_sq(0.3, PATCHES_ONLY)
@@ -243,11 +244,11 @@ class TestSimulateFluctuation:
         ts = np.linspace(0.0, 0.45, 200)
         clocks = np.array([sigma_sq(float(t), PATCHES_ONLY) for t in ts])
         assert np.all(np.diff(clocks) > 0.0)
-        _, paths = simulate_fluctuation(PATCHES_ONLY, 0.45, 2000,
+        # grid columns 1-3 are t = 0.15, 0.3, 0.45
+        _, paths = simulate_fluctuation(PATCHES_ONLY, 0.45, 3,
                                         np.random.default_rng(4), n_paths=10_000)
-        idx = [np.searchsorted(np.linspace(0, 0.45, 2001), u) for u in (0.15, 0.3, 0.45)]
         variances = [paths[:, i, 1].var() / (1 - t) ** 2
-                     for i, t in zip(idx, (0.15, 0.3, 0.45))]
+                     for i, t in zip((1, 2, 3), (0.15, 0.3, 0.45))]
         assert variances[0] < variances[1] < variances[2]
 
     def test_one_step_matches_fine_grid(self):
@@ -326,6 +327,11 @@ class TestFluidModel:
         t = curve[50, 0]
         assert curve[50, 4] == pytest.approx(deficiency(EX1, float(t)), rel=1e-12)
         assert curve[50, 5] == pytest.approx(sigma_sq(float(t), EX1), rel=1e-12)
+
+    @pytest.mark.parametrize("grid_points", [1000.7, "5", True])
+    def test_grid_points_must_be_whole(self, grid_points):
+        with pytest.raises(ValueError, match="grid_points must be a whole number"):
+            FluidModel.build(EX1).curve(grid_points)
 
 
 class TestPatchOverlapAverage:

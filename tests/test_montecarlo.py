@@ -49,6 +49,13 @@ class TestSeedDerivation:
                 seen.add(derive_seed(987654321, n, replica))
         assert len(seen) == 1_000_000
 
+    @pytest.mark.parametrize("master_seed, key", [
+        (1, (2.7,)), (1.0, (2,)), (1, ("2",)), (1, (2, np.float64(3)))])
+    def test_seed_and_keys_must_be_integers(self, master_seed, key):
+        # 2.7 must not alias key 2
+        with pytest.raises(TypeError):
+            derive_seed(master_seed, *key)
+
     def test_stream_reproducible(self):
         a = stream(5, 100, 0).standard_normal(4)
         b = stream(5, 100, 0).standard_normal(4)
@@ -225,6 +232,21 @@ class TestRunReplicas:
                                       workers=workers))
         assert built == {150: 1, 250: 1, 350: 1}
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_path_table_per_vertex_count(self, monkeypatch, workers):
+        built = Counter()
+
+        def counted(ts, series):
+            built[len(ts)] += 1
+            return path_grid(ts, series)
+
+        monkeypatch.setattr(montecarlo, "path_grid", counted)
+        for delta, want in ((0.02, {151: 1, 251: 1, 351: 1}), (None, {})):
+            built.clear()
+            run_replicas(ExperimentConfig(EX1, (150, 250, 350), 7, master_seed=3,
+                                          delta=delta, workers=workers))
+            assert built == want
+
     def test_variance_shrinks_with_scale(self):
         cfg = ExperimentConfig(EX1, (1000, 10_000), 60, master_seed=11)
         rows = {a.n_vertices: a for a in run_replicas(cfg).aggregates}
@@ -264,6 +286,13 @@ class TestConcentration:
         cfg = ExperimentConfig(EX1, (200,), 5, master_seed=4)
         with pytest.raises(ValueError):
             concentration_curve(cfg, delta=0.0)
+
+    @pytest.mark.parametrize("delta", ["0.05", True])
+    def test_delta_must_be_a_number(self, delta):
+        # the config's rule, as for ExperimentConfig(delta="0.05")
+        cfg = ExperimentConfig(EX1, (200,), 5, master_seed=4)
+        with pytest.raises(ValueError, match="delta must be a number"):
+            concentration_curve(cfg, delta)
 
 
 class TestCriticalAlpha:
@@ -311,3 +340,15 @@ class TestCriticalAlpha:
         with pytest.raises(BracketError):
             # both supercritical
             critical_alpha(from_binomial_family, 1200.0, 1300.0)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_checked_before_the_family(self, tol):
+        calls = []
+
+        def family(alpha):
+            calls.append(alpha)
+            return from_binomial_family(alpha)
+
+        with pytest.raises(ValueError, match="tangency_tolerance must be positive"):
+            critical_alpha(family, 1185.0, 1200.0, tangency_tolerance=tol)
+        assert calls == []

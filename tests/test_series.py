@@ -216,6 +216,11 @@ class TestConstructors:
         # 2*(0.5 + 0.5 t)^2 = 0.5 + t + 0.5 t^2
         assert series.coeffs == pytest.approx((0.5, 1.0, 0.5))
 
+    @pytest.mark.parametrize("power", [True, 2.5, "7"])
+    def test_binomial_family_power_must_be_whole(self, power):
+        with pytest.raises(ValueError, match="power must be a whole number"):
+            from_binomial_family(1185.0, power=power)
+
     def test_binomial_family_matches_direct_evaluation(self):
         series = from_binomial_family(1185.0)
         for t in (0.0, 0.02, 0.5, 0.9):
