@@ -62,13 +62,16 @@ class ChainRun:
     trajectory: Optional[np.ndarray] = None  # rows (removed, patches, debris)
 
 
-def _steps(n: int, rates: np.ndarray, rng: np.random.Generator, patches: int,
-           debris: int, record_trajectory: bool):
-    """Step from the given counts to absorption: (removed, debris, trajectory).
+def _steps(n: int, rates: np.ndarray, rng: np.random.Generator, mean_patches: float,
+           mean_debris: float, record_trajectory: bool):
+    """Draw patches ~ Poisson(mean_patches), then debris ~ Poisson(mean_debris),
+    and step to absorption: (removed, debris, trajectory).
 
-    The reference loop.  `chain_kernel.c` runs the same steps with the same
-    draws; tests and the kernel's load-time check compare the two.
+    The reference loop.  `chain_kernel.c` runs the same replica with the
+    same draws; tests and the kernel's load-time check compare the two.
     """
+    patches = int(rng.poisson(mean_patches))
+    debris = int(rng.poisson(mean_debris))
     rates = rates.tolist()
     trajectory = [(0, patches, debris)] if record_trajectory else None
     removed = 0
@@ -86,6 +89,15 @@ def _steps(n: int, rates: np.ndarray, rng: np.random.Generator, patches: int,
     return removed, debris, traj_arr
 
 
+def _deviation(n: int, trajectory: np.ndarray, fluid: np.ndarray) -> float:
+    """Largest distance in patches or debris of a trajectory on n vertices
+    from the fluid path `fluid` at t = k/n, row k of each at removed = k.
+
+    The reference of the deviations that `chain_kernel.c` takes.
+    """
+    return float(np.abs(trajectory[:, 1:] / n - fluid[:len(trajectory), 1:]).max())
+
+
 def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
         record_trajectory: bool = False,
         rate_table: Optional[np.ndarray] = None) -> ChainRun:
@@ -94,8 +106,8 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     Starts with patches ~ Poisson(N*b1) and debris ~ Poisson(N*b0), steps
     until no patches remain.  Absorption happens by removed = N at the
     latest: with one vertex left every remaining patch sits on it.  With a
-    `numpy.random.Generator`, the steps run in the compiled loop of
-    `chain_kernel` when it loads, with the same draws and results.
+    `numpy.random.Generator`, the run is a batch of one in the compiled
+    loop of `chain_kernel` when it loads, with the same draws and results.
     """
     from . import chain_kernel
 
@@ -111,9 +123,8 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     if len(rates) < N:
         raise ValueError("rate_table shorter than n_vertices")
 
-    patches = int(rng.poisson(N * series.coeff(1)))
-    debris = int(rng.poisson(N * series.coeff(0)))
     kernel = chain_kernel.load() if type(rng) is np.random.Generator else None
-    steps = _steps if kernel is None else kernel.steps
-    removed, debris, trajectory = steps(N, rates, rng, patches, debris, record_trajectory)
+    steps = _steps if kernel is None else kernel.run
+    removed, debris, trajectory = steps(N, rates, rng, N * series.coeff(1),
+                                        N * series.coeff(0), record_trajectory)
     return ChainRun(removed, debris, trajectory)

@@ -1,6 +1,7 @@
-/* The two random loops of the package, compiled: the step loop of the
- * reduced collapse chain (chain.run) and the patch loop of the exact
- * collapse (hypergraph.collapse_all, and with a fixed pick
+/* The two random loops of the package, compiled: the reduced collapse
+ * chain, run for a whole batch of replicas (chain.run is a batch of one,
+ * montecarlo's replica batches are the others), and the patch loop of the
+ * exact collapse (hypergraph.collapse_all, and with a fixed pick
  * hypergraph.identifiable_set).
  *
  * Each draws with numpy's own routines on the Generator's bitgen_t:
@@ -11,6 +12,7 @@
  * both consume the same stream.  Linked against
  * numpy/random/lib/libnpyrandom.a; chain_kernel.py builds and loads it.
  */
+#include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -45,58 +47,103 @@ void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
 enum { OK = 0, LAM_NAN_OR_NEGATIVE = 1, LAM_TOO_LARGE = 2, COUNT_OVERFLOW = 3,
        NO_MEMORY = 4, BAD_EDGES = 5 };
 
-/* Run from counts = {0, patches, debris} until no patches remain or
- * removed = n, leaving {removed, patches, debris} in counts.  rates holds n
- * doubles; trajectory, if not NULL, holds (n + 1) * 3 int64 and receives
- * the row (removed, patches, debris) before the first step and after each.
+/* The checks Generator.poisson makes on its mean, in its order. */
+static int poisson_mean_status(double lam, double lam_max)
+{
+    if (!(lam >= 0.0))
+        return LAM_NAN_OR_NEGATIVE;
+    if (lam > lam_max)
+        return LAM_TOO_LARGE;
+    return OK;
+}
+
+/* max(dev, |count / n - fluid|) as numpy's max takes it: a NaN stays. */
+static double farther(double dev, int64_t count, double n, double fluid)
+{
+    double d = fabs((double)count / n - fluid);
+    return d > dev || d != d ? d : dev;
+}
+
+/* Run count replicas of the chain on n vertices, replica r on the bit
+ * generator bitgens[r]: draw patches ~ Poisson(mean_patches), then
+ * debris ~ Poisson(mean_debris), and step until no patches remain or
+ * removed = n.  rates holds n doubles.  Replica r's removed and final
+ * debris go to out[2r] and out[2r + 1].
+ *
+ * fluid, if not NULL, holds (n + 1) * 3 doubles, row k the fluid path at
+ * t = k/n; deviation[r] then receives the largest |patches/n - fluid[k][1]|
+ * and |debris/n - fluid[k][2]| over the rows k = 0..removed of replica r's
+ * trajectory, which has removed = k in row k.  trajectory, if not NULL
+ * (count must then be 1), holds (n + 1) * 3 int64 and receives the rows
+ * (removed, patches, debris) before the first step and after each.
+ *
  * A Poisson mean that Generator.poisson rejects (not >= 0, or above
- * lam_max) stops the loop before its draw, after that step's binomial
- * draw, as the Python loop stops; the return value then says why. */
-int chain_steps(int64_t n, const double *rates, bitgen_t *bitgen,
-                int64_t *counts, int64_t *trajectory, double lam_max)
+ * lam_max) stops the batch before its draw, in a step after that step's
+ * binomial draw, as the Python loop stops; so does a count beyond the
+ * int64 range.  The return value says why; the replicas before the failing
+ * one are complete, the later ones untouched. */
+int chain_batch(int64_t n, const double *rates, double lam_max,
+                int64_t count, bitgen_t *const *bitgens, double mean_patches,
+                double mean_debris, const double *fluid, int64_t *out,
+                double *deviation, int64_t *trajectory)
 {
     binomial_t binomial;
-    int64_t removed = 0, patches = counts[1], debris = counts[2];
-    int status = OK;
+    double nd = (double)n;
 
-    memset(&binomial, 0, sizeof binomial);
-    if (trajectory) {
-        trajectory[0] = 0;
-        trajectory[1] = patches;
-        trajectory[2] = debris;
-    }
-    while (patches > 0 && removed < n) {
-        int64_t left = n - removed;
-        int64_t shared = random_binomial(bitgen, 1.0 / (double)left, patches - 1,
-                                         &binomial);
-        double lam = (double)(left - 1) * rates[removed];
-        if (!(lam >= 0.0)) {
-            status = LAM_NAN_OR_NEGATIVE;
-            break;
-        }
-        if (lam > lam_max) {
-            status = LAM_TOO_LARGE;
-            break;
-        }
-        int64_t fresh = random_poisson(bitgen, lam);
-        /* shared <= patches - 1, so only the additions can overflow */
-        if (__builtin_add_overflow(patches - 1 - shared, fresh, &patches)
-            || __builtin_add_overflow(debris, 1 + shared, &debris)) {
-            status = COUNT_OVERFLOW;
-            break;
-        }
-        removed++;
+    for (int64_t r = 0; r < count; r++) {
+        bitgen_t *bitgen = bitgens[r];
+        int64_t removed = 0, patches, debris;
+        double dev = -INFINITY;
+        int status = poisson_mean_status(mean_patches, lam_max);
+        if (status)
+            return status;
+        patches = random_poisson(bitgen, mean_patches);
+        status = poisson_mean_status(mean_debris, lam_max);
+        if (status)
+            return status;
+        debris = random_poisson(bitgen, mean_debris);
+
+        memset(&binomial, 0, sizeof binomial);
         if (trajectory) {
-            int64_t *row = trajectory + 3 * removed;
-            row[0] = removed;
-            row[1] = patches;
-            row[2] = debris;
+            trajectory[0] = 0;
+            trajectory[1] = patches;
+            trajectory[2] = debris;
         }
+        if (fluid)
+            dev = farther(farther(dev, patches, nd, fluid[1]),
+                          debris, nd, fluid[2]);
+        while (patches > 0 && removed < n) {
+            int64_t left = n - removed;
+            int64_t shared = random_binomial(bitgen, 1.0 / (double)left,
+                                             patches - 1, &binomial);
+            double lam = (double)(left - 1) * rates[removed];
+            status = poisson_mean_status(lam, lam_max);
+            if (status)
+                return status;
+            int64_t fresh = random_poisson(bitgen, lam);
+            /* shared <= patches - 1, so only the additions can overflow */
+            if (__builtin_add_overflow(patches - 1 - shared, fresh, &patches)
+                || __builtin_add_overflow(debris, 1 + shared, &debris))
+                return COUNT_OVERFLOW;
+            removed++;
+            if (trajectory) {
+                int64_t *row = trajectory + 3 * removed;
+                row[0] = removed;
+                row[1] = patches;
+                row[2] = debris;
+            }
+            if (fluid) {
+                const double *row = fluid + 3 * removed;
+                dev = farther(farther(dev, patches, nd, row[1]),
+                              debris, nd, row[2]);
+            }
+        }
+        out[2 * r] = removed;
+        out[2 * r + 1] = debris;
+        if (fluid)
+            deviation[r] = dev;
     }
-    counts[0] = removed;
-    counts[1] = patches;
-    counts[2] = debris;
-    return status;
+    return OK;
 }
 
 /* Collapse a hypergraph on n vertices until no patches remain.  Edge e

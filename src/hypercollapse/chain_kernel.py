@@ -1,6 +1,10 @@
 """The compiled random loops: build on first use, cache, check, load.
 
-`chain_kernel.c` holds the step loop of `chain.run` and the patch loop of
+`chain_kernel.c` holds the reduced chain, run for a whole batch of
+replicas of one vertex count in one call: it draws each replica's initial
+counts, steps it to absorption and takes its distance from the fluid
+path.  `chain.run` is a batch of one; `montecarlo` runs its replica
+batches through it.  The file also holds the patch loop of
 `hypergraph.collapse_all`, which `hypergraph.identifiable_set` runs with a
 fixed pick and no generator.  It is compiled with the system C compiler
 (`cc`) and linked against numpy's `libnpyrandom.a`, so each loop draws
@@ -9,11 +13,12 @@ with the routines `Generator.binomial`, `Generator.poisson` and
 stream and every output stay the same.  The library is cached per user in
 `$XDG_CACHE_HOME/hypercollapse` (default `~/.cache/hypercollapse`), keyed
 by the numpy version, the platform and a hash of the source; a build
-deletes the libraries that other sources built for the same numpy.  `load()`
-returns None, and every caller keeps its Python loop, when there is no
-compiler, the build fails, the cache directory is not private to this
-user, or the loaded library does not reproduce the Python loops draw for
-draw on a fixed chain and a fixed hypergraph.  The reason is logged to the
+deletes the libraries that other sources built for the same numpy, and
+only a build imports `subprocess`.  `load()` returns None, and every
+caller keeps its Python loop, when there is no compiler, the build fails,
+the cache directory is not private to this user, or the loaded library
+does not reproduce the Python loops draw for draw on fixed replica batches
+and a fixed hypergraph.  The reason is logged to the
 `hypercollapse.chain_kernel` logger.
 """
 
@@ -26,12 +31,11 @@ import hashlib
 import logging
 import os
 import stat
-import subprocess
 import sysconfig
 import tempfile
 from array import array
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +63,10 @@ class _SelfCheckError(RuntimeError):
     """A compiled loop drew differently from its Python loop."""
 
 
+class _CompileError(RuntimeError):
+    """The compiler failed or timed out."""
+
+
 def _raise(status: int) -> None:
     error, message = _FAILURES[status]
     raise error(message)
@@ -72,26 +80,62 @@ def _bitgen(bit_generator: np.random.BitGenerator) -> int:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A loaded library; `steps` is a drop-in for `chain._steps`, and
-    `collapse` for `hypergraph._collapse_steps`."""
+    """A loaded library; `run` is a drop-in for `chain._steps`, `batch` runs
+    many replicas in one call, and `collapse` is a drop-in for
+    `hypergraph._collapse_steps`."""
 
     path: str
-    _steps: ctypes._CFuncPtr = field(repr=False, compare=False)
+    _batch: ctypes._CFuncPtr = field(repr=False, compare=False)
     _collapse: ctypes._CFuncPtr = field(repr=False, compare=False)
 
-    def steps(self, n: int, rates: np.ndarray, rng: np.random.Generator,
-              patches: int, debris: int, record_trajectory: bool):
-        """Step to absorption; `rates` must be C-contiguous float64, len >= n."""
-        counts = (ctypes.c_int64 * 3)(0, patches, debris)
+    def batch(self, n: int, rates: np.ndarray,
+              bit_generators: Sequence[np.random.BitGenerator],
+              mean_patches: float, mean_debris: float,
+              fluid: Optional[np.ndarray] = None,
+              trajectory: Optional[np.ndarray] = None):
+        """One replica of `chain._steps` per bit generator, in order, in one
+        call: (counts, deviations).  counts is an int64 array of rows
+        (removed, debris); deviations holds each replica's largest distance
+        in patches or debris from `fluid`, the fluid path at t = k/n in row
+        k = 0..n, or is None without `fluid`.  `rates` is the rate table,
+        C-contiguous float64 of length >= n.  `trajectory`, for a batch of
+        one, is an (n + 1, 3) int64 array that receives the rows.  The
+        caller holds the generators' locks or owns them alone."""
+        m = len(bit_generators)
+        if (rates.dtype != np.float64 or rates.ndim != 1 or len(rates) < n
+                or not rates.flags.c_contiguous):
+            raise ValueError("rates must be a C-contiguous float64 array of at least n values")
+        if trajectory is not None and (m != 1 or trajectory.shape != (n + 1, 3)
+                                       or trajectory.dtype != np.int64
+                                       or not trajectory.flags.c_contiguous):
+            raise ValueError("a trajectory needs a batch of one and an (n + 1, 3) int64 array")
+        if fluid is not None:
+            fluid = np.ascontiguousarray(fluid, dtype=np.float64)
+            if fluid.shape != (n + 1, 3):
+                raise ValueError(f"fluid must have shape {(n + 1, 3)}, got {fluid.shape}")
+        counts = np.empty((m, 2), dtype=np.int64)
+        deviations = None if fluid is None else np.empty(m)
+        status = self._batch(n, rates.ctypes.data, _LAM_MAX, m,
+                             (ctypes.c_void_p * m)(*map(_bitgen, bit_generators)),
+                             mean_patches, mean_debris,
+                             None if fluid is None else fluid.ctypes.data,
+                             counts.ctypes.data,
+                             None if deviations is None else deviations.ctypes.data,
+                             None if trajectory is None else trajectory.ctypes.data)
+        if status:
+            _raise(status)
+        return counts, deviations
+
+    def run(self, n: int, rates: np.ndarray, rng: np.random.Generator,
+            mean_patches: float, mean_debris: float, record_trajectory: bool):
+        """A batch of one on `rng`, under its bit generator's lock:
+        (removed, debris, trajectory) as `chain._steps` gives them."""
         trajectory = np.empty((n + 1, 3), dtype=np.int64) if record_trajectory else None
         bitgen = rng.bit_generator
         with bitgen.lock:
-            status = self._steps(n, rates.ctypes.data, _bitgen(bitgen), counts,
-                                 None if trajectory is None else trajectory.ctypes.data,
-                                 _LAM_MAX)
-        if status:
-            _raise(status)
-        removed, _, debris = counts
+            counts, _ = self.batch(n, rates, [bitgen], mean_patches, mean_debris,
+                                   trajectory=trajectory)
+        removed, debris = counts[0].tolist()
         return removed, debris, None if trajectory is None else trajectory[:removed + 1]
 
     def collapse(self, n: int, sizes: array, ids: array,
@@ -131,6 +175,8 @@ def _check_private(path: str, is_kind) -> None:
 
 def _build(target: str) -> None:
     """Compile chain_kernel.c into the shared library `target`."""
+    import subprocess
+
     subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", target, _SOURCE,
                     "-L" + _NPYRANDOM, "-lnpyrandom", "-lm"],
                    check=True, capture_output=True, text=True, timeout=_BUILD_TIMEOUT_S)
@@ -146,6 +192,8 @@ def _library() -> str:
     _check_private(directory, stat.S_ISDIR)
     path = os.path.join(directory, f"chain_kernel-{np.__version__}-{key.hexdigest()[:16]}.so")
     if not os.path.exists(path):
+        import subprocess
+
         # concurrent builders each write their own file; the rename is atomic
         fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=directory)
         os.close(fd)
@@ -153,6 +201,10 @@ def _library() -> str:
             _build(tmp)
             os.chmod(tmp, 0o700)
             os.replace(tmp, path)
+        except subprocess.CalledProcessError as exc:
+            raise _CompileError(exc.stderr) from exc
+        except subprocess.SubprocessError as exc:
+            raise _CompileError(str(exc)) from exc
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -181,29 +233,43 @@ def _remove_stale(path: str) -> None:
 
 
 def _self_check(kernel: Kernel) -> None:
-    """Run a fixed chain and a fixed collapse through the kernel and
-    through the Python loops.
+    """Run fixed replica batches and a fixed collapse through the kernel
+    and through the Python loops.
 
-    Many patches on few vertices take numpy's BTPE binomial branch, few
-    take its inversion branch, the last step its p = 1 case; the means
-    cross 10, where numpy's Poisson sampler switches method.  The collapse
-    leaves stale entries in its bag, and its bag falls to one entry, where
-    `Generator.integers(1)` draws nothing.  The same collapse runs once
-    more with the fixed pick of `identifiable_set`.
+    Two batches of two replicas on 24 vertices: many patches (a mean of
+    2000) take numpy's BTPE binomial branch, few (a mean of 3) its
+    inversion branch, the last step its p = 1 case; the means cross 10,
+    where numpy's Poisson sampler switches method.  Each batch runs with
+    and without a fluid table, and its first replica once more through
+    `run`, with its trajectory.  The collapse leaves stale entries in its
+    bag, and its bag falls to one entry, where `Generator.integers(1)`
+    draws nothing.  The same collapse runs once more with the fixed pick
+    of `identifiable_set`.
     """
-    from .chain import _steps
+    from .chain import _deviation, _steps
     from .hypergraph import _collapse_steps
 
     n = 24
     rates = np.linspace(0.2, 2.0, n)
-    for patches in (3, 2000):
-        got_rng, want_rng = (np.random.Generator(np.random.PCG64(20_011)) for _ in "ab")
-        got = kernel.steps(n, rates, got_rng, patches, 0, True)
-        want = _steps(n, rates, want_rng, patches, 0, True)
-        if (got[:2] != want[:2] or not np.array_equal(got[2], want[2])
-                or got_rng.bit_generator.state != want_rng.bit_generator.state):
+    fluid = np.linspace(0.0, 60.0, 3 * (n + 1)).reshape(n + 1, 3)
+    for means in ((3.0, 0.5), (2000.0, 0.5)):
+        wants = [np.random.Generator(np.random.PCG64(20_011 + r)) for r in range(2)]
+        want = [_steps(n, rates, rng, *means, True) for rng in wants]
+        for table in (None, fluid):
+            gots = [np.random.PCG64(20_011 + r) for r in range(2)]
+            counts, deviations = kernel.batch(n, rates, gots, *means, table)
+            if (counts.tolist() != [[removed, debris] for removed, debris, _ in want]
+                    or (table is not None and deviations.tolist()
+                        != [_deviation(n, trajectory, table) for *_, trajectory in want])
+                    or [g.state for g in gots] != [w.bit_generator.state for w in wants]):
+                raise _SelfCheckError(f"{kernel.path} drew differently from the Python "
+                                     f"loop in a batch with a mean of {means[0]} patches")
+        got_rng = np.random.Generator(np.random.PCG64(20_011))
+        got = kernel.run(n, rates, got_rng, *means, True)
+        if (got[:2] != want[0][:2] or not np.array_equal(got[2], want[0][2])
+                or got_rng.bit_generator.state != wants[0].bit_generator.state):
             raise _SelfCheckError(f"{kernel.path} drew differently from the Python "
-                                 f"loop from {patches} patches")
+                                 f"loop in a run with a mean of {means[0]} patches")
     # three patches on vertex 0 leave two stale entries; 6 and 7 stay
     edges = [(), (0,), (0,), (0,), (1,), (0, 2), (2, 3), (4, 5), (6, 7), (1, 3, 4), (5, 6, 7)]
     sizes = array("q", map(len, edges))
@@ -231,19 +297,20 @@ def load() -> Optional[Kernel]:
     try:
         path = _library()
         lib = ctypes.CDLL(path)
-        steps, collapse = lib.chain_steps, lib.collapse_steps
-        steps.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-                          ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_double]
+        batch, collapse = lib.chain_batch, lib.collapse_steps
+        batch.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
+                          ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
         collapse.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                              ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-        steps.restype = ctypes.c_int
+        batch.restype = ctypes.c_int
         collapse.restype = ctypes.c_int64
-        kernel = Kernel(path, steps, collapse)
+        kernel = Kernel(path, batch, collapse)
         _self_check(kernel)
-    except subprocess.CalledProcessError as exc:
-        log.info("chain kernel build failed, using the Python loops:\n%s", exc.stderr)
+    except _CompileError as exc:
+        log.info("chain kernel build failed, using the Python loops:\n%s", exc)
         return None
-    except (OSError, subprocess.SubprocessError) as exc:
+    except OSError as exc:
         log.info("no chain kernel, using the Python loops: %s", exc)
         return None
     except _SelfCheckError as exc:

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .series import (BetaSeries, CriticalStructure, T_CAP, critical_structure,
-                     deficiency, deficiency_grid, evaluate, evaluate_grid, whole)
+                     deficiency, deficiency_grid, evaluate, evaluate_grid, real, whole)
 from .series import _check_grid, _check_t as _check_unit_t
 
 CURVE_COLUMNS = ("t", "x1", "x2", "x3", "f", "sigma_sq")
@@ -195,7 +195,7 @@ def simulate_fluctuation(series: BetaSeries, t_end: float, n_steps: int,
     """
     if critical is None:
         critical = critical_structure(series)
-    t_end = float(t_end)
+    t_end = real("t_end", t_end)
     if not 0.0 < t_end < min(critical.z_star, 1.0):
         raise ValueError("t_end must be in (0, z_star)")
     n_steps = whole("n_steps", n_steps)
@@ -247,7 +247,7 @@ class FluidModel:
         crit = critical_structure(series, tangency_tolerance)
         if t_max is None:
             t_max = min(0.999, crit.z_star + 0.1)
-        return cls(series, crit, min(float(t_max), T_CAP))
+        return cls(series, crit, min(real("t_max", t_max), T_CAP))
 
     def curve(self, grid_points: int = 1001) -> np.ndarray:
         """Columns t, x1, x2, x3, f, sigma_sq on a uniform grid to t_max."""

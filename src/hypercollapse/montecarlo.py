@@ -14,44 +14,70 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import index
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .chain import edge_rate_curve, run
+from .chain import _deviation, edge_rate_curve, run
 from .fluid import path_grid
 from .series import (BetaSeries, DegenerateModelError, T_CAP, real, resolve_model,
                      whole)
 
 _MASK64 = (1 << 64) - 1
+# the salts of the low and high words' mixing chains, as a column
+_SALTS = np.array([[0x243F6A8885A308D3], [0x13198A2E03707344]], dtype=np.uint64)
+_GAMMA, _M1, _M2, _S30, _S27, _S31 = np.array(
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31],
+    dtype=np.uint64)
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer: a fixed 64-bit bijection with good avalanche."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, a fixed 64-bit bijection with good avalanche,
+    on uint64 arrays: arrays wrap mod 2**64, where uint64 scalars warn."""
+    x = x + _GAMMA
+    x ^= x >> _S30
+    x *= _M1
+    x ^= x >> _S27
+    x *= _M2
+    x ^= x >> _S31
+    return x
 
 
-def _mix_chain(master_seed: int, key: Sequence[int], salt: int) -> int:
-    state = _mix64((index(master_seed) ^ salt) & _MASK64)
-    for k in key:
-        state = _mix64(state ^ _mix64((index(k) + salt) & _MASK64))
-    return state
+def _words(component) -> np.ndarray:
+    """A key component mod 2**64 as a uint64 array: one element for an
+    integer, one per entry for a sequence of integers."""
+    if isinstance(component, Iterable):
+        return np.array([index(k) & _MASK64 for k in component], dtype=np.uint64)
+    return np.array([index(component) & _MASK64], dtype=np.uint64)
+
+
+def derive_seeds(master_seed: int, *key) -> list[int]:
+    """`derive_seed` for many key paths at once.
+
+    Each component of `key` is an integer, shared by every path, or a
+    sequence of integers, one per path; sequences have one length, or one
+    entry.  `derive_seeds(s, n, range(k))` gives `[derive_seed(s, n, r) for
+    r in range(k)]`.
+    """
+    state = _mix64(_words(index(master_seed)) ^ _SALTS)
+    for column in map(_words, key):
+        state = _mix64(state ^ _mix64(column + _SALTS))
+    lo, hi = state.tolist()
+    return [(h << 64) | l for l, h in zip(lo, hi)]
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
     """Derive a 128-bit stream seed from the master seed and an integer key path.
 
     Two SplitMix64 mixing chains with different salts supply the low and
-    high words.  The seed and keys must be integers (2.7 is a TypeError,
-    not 2).  Distinct key paths give distinct seeds up to a ~2**-128
-    collision chance; a scan test checks a million derived seeds.
+    high words: with every number taken mod 2**64, the chain starts from
+    mix(master_seed ^ salt) and takes in each key k as
+    state = mix(state ^ mix(k + salt)).  The seed and keys must be integers
+    (2.7 is a TypeError, not 2).  Distinct key paths give distinct seeds up
+    to a ~2**-128 collision chance; a scan test checks a million derived
+    seeds.
     """
-    lo = _mix_chain(master_seed, key, 0x243F6A8885A308D3)
-    hi = _mix_chain(master_seed, key, 0x13198A2E03707344)
-    return (hi << 64) | lo
+    return derive_seeds(master_seed, *map(index, key))[0]
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -139,31 +165,39 @@ def _replica_batch(series: BetaSeries, n_vertices: int, table: np.ndarray,
 
     `fluid` is the vertex count's fluid path at t = k/N capped below 1, one
     row per k = 0..N, or None for no deviation.  The deviation is the
-    largest distance in patches or debris from that path over the recorded
-    rows; row k of a trajectory has removed = k, so it meets row k of the
-    path.
+    largest distance in patches or debris from that path over the rows of
+    the replica's trajectory; row k of a trajectory has removed = k, so it
+    meets row k of the path.  The batch's seeds are derived at once, and
+    with the compiled kernel the whole batch is one call that builds no
+    trajectory; without it each replica runs through `run` and keeps its
+    trajectory for the deviation.
     """
-    records = []
-    for replica in range(lo, hi):
-        seed = derive_seed(master_seed, n_vertices, replica)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        result = run(n_vertices, series, rng,
-                     record_trajectory=fluid is not None, rate_table=table)
-        deviation = None
-        if fluid is not None:
-            traj = result.trajectory
-            deviation = float(np.abs(traj[:, 1:] / n_vertices
-                                     - fluid[:len(traj), 1:]).max())
-        records.append(ReplicaRecord(
-            n_vertices=n_vertices,
-            replica=replica,
-            seed=seed,
-            v_star_frac=result.removed / n_vertices,
-            debris_frac=result.debris / n_vertices,
-            stop_step=result.removed,
-            deviation=deviation,
-        ))
-    return records
+    from . import chain_kernel
+
+    seeds = derive_seeds(master_seed, n_vertices, range(lo, hi))
+    kernel = chain_kernel.load()
+    if kernel is None:
+        runs = []
+        for seed in seeds:
+            rng = np.random.Generator(np.random.PCG64(seed))
+            result = run(n_vertices, series, rng,
+                         record_trajectory=fluid is not None, rate_table=table)
+            deviation = None
+            if fluid is not None:
+                deviation = _deviation(n_vertices, result.trajectory, fluid)
+            runs.append((result.removed, result.debris, deviation))
+    else:
+        counts, deviations = kernel.batch(
+            n_vertices, table, [np.random.PCG64(seed) for seed in seeds],
+            n_vertices * series.coeff(1), n_vertices * series.coeff(0), fluid)
+        runs = zip(*counts.T.tolist(),
+                   [None] * len(seeds) if deviations is None else deviations.tolist())
+    return [ReplicaRecord(n_vertices=n_vertices, replica=replica, seed=seed,
+                          v_star_frac=removed / n_vertices,
+                          debris_frac=debris / n_vertices, stop_step=removed,
+                          deviation=deviation)
+            for replica, seed, (removed, debris, deviation)
+            in zip(range(lo, hi), seeds, runs)]
 
 
 def run_replicas(config: ExperimentConfig) -> ExperimentResult:

@@ -270,7 +270,7 @@ def critical_alpha(family: Callable[[float], BetaSeries],
     at width 1e-12 * max(|alpha|, 1).
     """
     _check_tolerance(tangency_tolerance)
-    lo, hi = float(alpha_lo), float(alpha_hi)
+    lo, hi = real("alpha_lo", alpha_lo), real("alpha_hi", alpha_hi)
     if lo > hi:
         raise BracketError("alpha_lo must not exceed alpha_hi")
     t_lo, m_lo = _dip_minimum(family(lo))

@@ -365,3 +365,29 @@ def peeling_fixpoint(h: Hypergraph) -> set[int]:
                         queue.append(u)
                         break
     return identified
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(x: int) -> int:
+    """SplitMix64 finalizer on Python ints."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _mix_chain(master_seed: int, key, salt: int) -> int:
+    state = _mix64((master_seed ^ salt) & _MASK64)
+    for k in key:
+        state = _mix64(state ^ _mix64((k + salt) & _MASK64))
+    return state
+
+
+def derive_seed_reference(master_seed: int, *key: int) -> int:
+    """The 128-bit stream seed of (master_seed, *key), one integer at a time:
+    two SplitMix64 chains with different salts give the low and high words."""
+    lo = _mix_chain(master_seed, key, 0x243F6A8885A308D3)
+    hi = _mix_chain(master_seed, key, 0x13198A2E03707344)
+    return (hi << 64) | lo

@@ -332,6 +332,68 @@ class TestKernel:
         assert type(got) is type(want) is OverflowError
         assert got_state == want_state
 
+    def test_batch_matches_a_run_per_replica(self, kernel):
+        # the fluid table only needs n + 1 rows of finite values here
+        n, means = 300, (300 * EX1.coeff(1), 0.0)
+        table = edge_rate_curve(n, 2, EX1)
+        fluid = np.random.default_rng(4).uniform(0.0, 0.3, size=(n + 1, 3))
+        for path_table in (None, fluid):
+            got = [np.random.PCG64(seed) for seed in range(7)]
+            counts, deviations = kernel.batch(n, table, got, *means, path_table)
+            for seed, bit_generator in enumerate(got):
+                rng = np.random.default_rng(seed)
+                want = run(n, EX1, rng, record_trajectory=True, rate_table=table)
+                assert counts[seed].tolist() == [want.removed, want.debris]
+                if path_table is None:
+                    assert deviations is None
+                else:
+                    assert deviations[seed] == chain._deviation(n, want.trajectory, fluid)
+                assert bit_generator.state == rng.bit_generator.state
+
+    def test_batch_stops_at_the_first_failing_replica(self, kernel):
+        # a step's Poisson mean is too large once a replica starts with a
+        # patch; with a mean of 0.2 patches most replicas start without one
+        series = BetaSeries((0.0, 0.05, 1e300))
+        n = 10
+        table = edge_rate_curve(n, 2, series)
+        want = [np.random.default_rng(seed) for seed in range(12)]
+        failed = None
+        for r, rng in enumerate(want):
+            try:
+                chain._steps(n, table, rng, 0.2, 0.0, False)
+            except ValueError as exc:
+                failed = (r, str(exc))
+                break
+        assert failed is not None and 0 < failed[0] < 11
+        got = [np.random.PCG64(seed) for seed in range(12)]
+        with pytest.raises(ValueError, match="^lam value too large$"):
+            kernel.batch(n, table, got, 0.2, 0.0)
+        assert [g.state for g in got] == [w.bit_generator.state for w in want]
+
+    def test_a_nan_in_the_fluid_table_gives_a_nan_deviation(self, kernel):
+        n = 200
+        table = edge_rate_curve(n, 2, EX1)
+        fluid = np.zeros((n + 1, 3))
+        fluid[30, 2] = math.nan
+        counts, deviations = kernel.batch(n, table, [np.random.PCG64(s) for s in range(20)],
+                                          n * EX1.coeff(1), 0.0, fluid)
+        reached = counts[:, 0] >= 30
+        assert reached.any() and not reached.all()
+        assert np.array_equal(np.isnan(deviations), reached)
+        for seed in range(20):
+            want = run(n, EX1, np.random.default_rng(seed), record_trajectory=True,
+                       rate_table=table)
+            assert np.array_equal(deviations[seed],
+                                  chain._deviation(n, want.trajectory, fluid), equal_nan=True)
+
+    def test_batch_refuses_tables_that_do_not_fit(self, kernel):
+        table = edge_rate_curve(10, 2, EX1)
+        with pytest.raises(ValueError, match="fluid must have shape"):
+            kernel.batch(10, table, [np.random.PCG64(1)], 1.0, 0.0, np.zeros((10, 3)))
+        with pytest.raises(ValueError, match="batch of one"):
+            kernel.batch(10, table, [np.random.PCG64(1)] * 2, 1.0, 0.0,
+                         trajectory=np.zeros((11, 3), dtype=np.int64))
+
     def test_bit_generator_address(self, kernel):
         for bit_generator in (np.random.PCG64(1), np.random.MT19937(1)):
             assert (chain_kernel._bitgen(bit_generator)
@@ -427,6 +489,17 @@ class TestKernel:
         assert chain_kernel.load() is not None
         built = os.listdir(cache)
         assert len(built) == 1 and built[0].endswith(".so")
+
+    def test_a_cached_library_loads_without_subprocess(self, kernel):
+        # only a build needs subprocess; the kernel fixture has built the library
+        script = ("import sys\n"
+                  "import hypercollapse.chain_kernel as chain_kernel\n"
+                  "assert chain_kernel.load() is not None\n"
+                  "print('subprocess' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                              capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
     def test_concurrent_first_builds(self, kernel, tmp_path):
         # two processes race to build into one empty cache; importing the

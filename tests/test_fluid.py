@@ -334,6 +334,18 @@ class TestFluidModel:
             FluidModel.build(EX1).curve(grid_points)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("t_max", lambda bad: FluidModel.build(EX1, t_max=bad)),
+    ("t_end", lambda bad: simulate_fluctuation(EX1, bad, 3, np.random.default_rng(0))),
+    ("alpha_lo", lambda bad: critical_alpha(from_binomial_family, bad, 1200.0)),
+    ("alpha_hi", lambda bad: critical_alpha(from_binomial_family, 1185.0, bad)),
+])
+@pytest.mark.parametrize("bad", ["0.1", True, [0.1]])
+def test_real_arguments_must_be_numbers(name, call, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a number"):
+        call(bad)
+
+
 class TestPatchOverlapAverage:
     def test_supercritical_family_value(self):
         # closed-form cross-check: 10 * [1200 (1 - 0.91^7) + 0.1 log 0.1 - 0.1]

@@ -11,8 +11,9 @@ from hypercollapse import (BetaSeries, BracketError, DegenerateModelError,
                            edge_rate_curve, from_binomial_family,
                            from_graph_params, montecarlo, path_grid, run,
                            run_replicas, stream)
+from hypercollapse.montecarlo import derive_seeds
 from hypercollapse.series import T_CAP
-from helpers import first_negative_root
+from helpers import derive_seed_reference, first_negative_root
 
 
 EX1 = from_graph_params(0.1, 0.5)
@@ -45,9 +46,36 @@ class TestSeedDerivation:
     def test_collision_scan_over_a_million_paths(self):
         seen = set()
         for n in range(1000):
-            for replica in range(1000):
-                seen.add(derive_seed(987654321, n, replica))
+            seen.update(derive_seeds(987654321, n, range(1000)))
         assert len(seen) == 1_000_000
+
+    def test_matches_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        wide = [0, 1, -1, 2**63, 2**64 - 1, 2**64, 2**64 + 5, -2**64, -2**64 - 3,
+                2**100 + 7, -2**100]
+        paths = [(int(rng.integers(-2**62, 2**62)),
+                  *map(int, rng.integers(-2**62, 2**62, size=rng.integers(0, 4))))
+                 for _ in range(600)]
+        paths += [(master, *key) for master in wide for key in
+                  [(), (7,), *((k, 3) for k in wide), *((3, k) for k in wide)]]
+        paths += [(-12345, n, replica) for n in (10, 2**64 + 10) for replica in range(100)]
+        assert len(paths) >= 1000
+        for master_seed, *key in paths:
+            assert derive_seed(master_seed, *key) == derive_seed_reference(master_seed, *key)
+        for master_seed in (-5, 2**64 + 9):
+            for n in (-1, 2000, 2**65):
+                assert (derive_seeds(master_seed, n, range(-3, 50))
+                        == [derive_seed_reference(master_seed, n, r) for r in range(-3, 50)])
+        assert derive_seeds(1, np.array([5, -6]), 2, [2**64, 8]) == [
+            derive_seed_reference(1, 5, 2, 2**64), derive_seed_reference(1, -6, 2, 8)]
+        assert derive_seeds(1, 2, range(0)) == []
+
+    def test_batch_keys_must_be_integers(self):
+        for key in ([2, 2.5], ["2"], [np.float64(3)]):
+            with pytest.raises(TypeError):
+                derive_seeds(1, 5, key)
+        with pytest.raises(TypeError):
+            derive_seeds(1.0, 5, [2])
 
     @pytest.mark.parametrize("master_seed, key", [
         (1, (2.7,)), (1.0, (2,)), (1, ("2",)), (1, (2, np.float64(3)))])

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain,
-                           chain_kernel, collapse_all, edge_rate_curve, hypergraph,
-                           identifiable_set, read_hypergraph, run_replicas,
-                           write_hypergraph)
+from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain_kernel,
+                           collapse_all, hypergraph, identifiable_set, read_hypergraph,
+                           run_replicas, write_hypergraph)
 from helpers import peeling_fixpoint, per_line_read
+from test_chain import both_paths
 from test_hypergraph import assert_both_loops_collapse_alike
 from test_montecarlo import reference_deviation
 
@@ -28,6 +28,9 @@ coefficient = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
 models = st.builds(lambda b0, b1, rest: BetaSeries((b0, b1, *rest)),
                    coefficient, st.floats(0.01, 3.0), st.lists(coefficient, max_size=2))
 seeds = st.integers(0, 2**63 - 1)
+# a Poisson mean too large for numpy: the initial patches' at every
+# replica, or a step's at the first replica that starts with a patch
+too_large = st.sampled_from([BetaSeries((0.0, 1e300)), BetaSeries((0.5, 0.01, 1e300))])
 
 
 @pytest.fixture(scope="module")
@@ -63,19 +66,40 @@ def test_worker_count_changes_nothing(series, n_values, replicas, seed, delta):
         assert other.aggregates == results[0].aggregates
 
 
+@settings(PROPERTY, max_examples=60)
+@given(series=st.one_of(models, too_large),
+       n_values=st.lists(st.integers(10, 3000), min_size=1, max_size=2, unique=True),
+       replicas=st.integers(1, 9), seed=seeds, delta=st.sampled_from([None, 0.05]),
+       workers=st.integers(1, 3))
+def test_batch_kernel_matches_the_python_loop(series, n_values, replicas, seed, delta,
+                                              workers):
+    # where no kernel loads, both runs take the Python loop of _replica_batch
+    config = ExperimentConfig(series, n_values, replicas, seed, delta=delta,
+                              workers=workers)
+    outcomes = []
+    for load in (chain_kernel.load, lambda: None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_kernel, "load", load)
+            try:
+                result = run_replicas(config)
+                outcomes.append((result.records, result.aggregates))
+            except (ValueError, OverflowError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
 @PROPERTY
-@given(series=models, n=st.integers(1, 2000), patches=st.integers(0, 5000),
-       debris=st.integers(0, 100), seed=seeds)
-def test_kernel_matches_the_python_loop_draw_for_draw(kernel, series, n, patches,
-                                                      debris, seed):
-    # one vertex has no 2-subsets, so no 2-edge rate
-    rates = edge_rate_curve(n, 2, series) if n > 1 else np.zeros(1)
-    got_rng, want_rng = (np.random.default_rng(seed) for _ in "ab")
-    got = kernel.steps(n, rates, got_rng, patches, debris, True)
-    want = chain._steps(n, rates, want_rng, patches, debris, True)
-    assert got[:2] == want[:2]
-    assert np.array_equal(got[2], want[2])
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+@given(rest=st.lists(coefficient, max_size=2), n=st.integers(1, 2000),
+       mean_patches=st.floats(0.0, 5000.0), mean_debris=st.floats(0.0, 100.0), seed=seeds)
+def test_kernel_matches_the_python_loop_draw_for_draw(kernel, rest, n, mean_patches,
+                                                      mean_debris, seed):
+    # means of thousands of patches on few vertices take numpy's BTPE binomial
+    series = BetaSeries((mean_debris / n, mean_patches / n, *rest))
+    (got, got_state), (want, want_state) = both_paths(
+        n, series, lambda: np.random.default_rng(seed))
+    assert (got.removed, got.debris) == (want.removed, want.debris)
+    assert np.array_equal(got.trajectory, want.trajectory)
+    assert got_state == want_state
 
 
 def read_text(text):
