@@ -5,8 +5,8 @@ replicas of one vertex count in one call: it draws each replica's initial
 counts, steps it to absorption and takes its distance from the fluid
 path.  `chain.run` is a batch of one; `montecarlo` runs its replica
 batches through it.  The file also holds the patch loop of
-`hypergraph.collapse_all`, which `hypergraph.identifiable_set` runs with a
-fixed pick and no generator.  It is compiled with the system C compiler
+`hypergraph.collapse_all` and, with a fixed pick, `identifiable_set`, on a
+`Hypergraph`'s two int64 edge arrays.  It is compiled with the system C compiler
 (`cc`) and linked against numpy's `libnpyrandom.a`, so each loop draws
 with the routines `Generator.binomial`, `Generator.poisson` and
 `Generator.integers` use, on the Generator's own bit generator: the random
@@ -33,7 +33,6 @@ import os
 import stat
 import sysconfig
 import tempfile
-from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -138,25 +137,23 @@ class Kernel:
         removed, debris = counts[0].tolist()
         return removed, debris, None if trajectory is None else trajectory[:removed + 1]
 
-    def collapse(self, n: int, sizes: array, ids: array,
+    def collapse(self, n: int, sizes: np.ndarray, ids: np.ndarray,
                  rng: Optional[np.random.Generator], record_trajectory: bool):
-        """Collapse to no patches; `sizes` and `ids` are int64 arrays ("q").
-        With `rng` None each step takes the last bag entry and draws nothing."""
-        if sizes.typecode != "q" or ids.typecode != "q":
-            raise TypeError("sizes and ids must be arrays of typecode 'q'")
-        identified = array("q", bytes(8 * n))
+        """`hypergraph._collapse_steps` on a `Hypergraph`'s C-contiguous int64 arrays."""
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 1
+                   and a.flags.c_contiguous for a in (sizes, ids)):
+            raise TypeError("sizes and ids must be C-contiguous one-dimensional int64 arrays")
+        # ctypes passes bytes and its arrays by address, cheaper than `ndarray.ctypes`
+        identified = (ctypes.c_int64 * n)()
         trajectory = np.empty((n + 1, 3), dtype=np.int64) if record_trajectory else None
         bitgen = None if rng is None else rng.bit_generator
         with contextlib.nullcontext() if bitgen is None else bitgen.lock:
-            removed = self._collapse(n, len(sizes), sizes.buffer_info()[0],
-                                     len(ids), ids.buffer_info()[0],
-                                     None if bitgen is None else _bitgen(bitgen),
-                                     identified.buffer_info()[0],
+            removed = self._collapse(n, len(sizes), sizes.tobytes(), len(ids), ids.tobytes(),
+                                     None if bitgen is None else _bitgen(bitgen), identified,
                                      None if trajectory is None else trajectory.ctypes.data)
         if removed < 0:
             _raise(-removed)
-        return (identified[:removed].tolist(),
-                None if trajectory is None else trajectory[:removed + 1])
+        return identified[:removed], None if trajectory is None else trajectory[:removed + 1]
 
 
 def _cache_dir() -> str:
@@ -247,7 +244,7 @@ def _self_check(kernel: Kernel) -> None:
     of `identifiable_set`.
     """
     from .chain import _deviation, _steps
-    from .hypergraph import _collapse_steps
+    from .hypergraph import _collapse_steps, _flat
 
     n = 24
     rates = np.linspace(0.2, 2.0, n)
@@ -272,8 +269,7 @@ def _self_check(kernel: Kernel) -> None:
                                  f"loop in a run with a mean of {means[0]} patches")
     # three patches on vertex 0 leave two stale entries; 6 and 7 stay
     edges = [(), (0,), (0,), (0,), (1,), (0, 2), (2, 3), (4, 5), (6, 7), (1, 3, 4), (5, 6, 7)]
-    sizes = array("q", map(len, edges))
-    ids = array("q", [v for e in edges for v in e])
+    sizes, ids = _flat(edges)
     got_rng, want_rng = (np.random.Generator(np.random.PCG64(20_011)) for _ in "ab")
     got = kernel.collapse(8, sizes, ids, got_rng, True)
     want = _collapse_steps(8, sizes, ids, want_rng, True)

@@ -7,36 +7,22 @@ edge, so the total edge count is conserved by every operation here; that
 conservation is the bookkeeping backbone of the whole model.
 
 This module is the ground truth the reduced chain is validated against,
-so it keeps the random stream of its plain per-edge definitions: a
-subset is scalar `rng.integers(N)` draws until it has enough distinct
-ids, a collapse step is one `rng.integers(len(bag))` pick.  Subsets are
-drawn in bulk, on the rule that `rng.integers(N, size=k)` gives the same
-draws and leaves the same bit-generator state as k scalar calls (numpy
-draws bounded integers one at a time from the bit generator's buffered
-words either way); the patch loop runs compiled in `chain_kernel` when
-it loads, on the same draws.
+so it keeps the random stream of its plain per-edge definitions: a subset
+is scalar `rng.integers(N)` draws until it has enough distinct ids (drawn
+in bulk by `_uniform_subsets`), a collapse step one `rng.integers(len(bag))`
+pick (compiled in `chain_kernel` when it loads, on the same draws).
 
-The patch loop has two pick rules.  `collapse_all` picks uniformly, with
-its generator.  `identifiable_set` takes the last bag entry and draws
-nothing: any full collapse removes the same set, so one fixed order
-computes it in the same loop.
-
-Edges are checked in bulk, by one rule that `Hypergraph`, `add_edge` and
-`read_hypergraph` share; the reader parses many lines with each
-`json.loads`.  A sampled hypergraph, and one read from a file that
-`write_hypergraph` wrote, hold their edges in canonical order, so the sort
-of `instances()` runs over a sorted list, in linear time.
+A `Hypergraph` stores its edge instances as the patch loop takes them: int64
+arrays `sizes` (one per instance) and the flat `ids`, in canonical order (by
+size, then lexicographically, ids increasing), so equal multisets have equal
+arrays.  Every producer of edges goes through `_canonical`.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
-from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice
-from operator import lt
+from itertools import chain, groupby
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -58,91 +44,106 @@ def _vertex_id(v) -> int:
     raise ValueError(f"a vertex id must be an integer, got {v!r}")
 
 
-def _increasing(edges: list, total: int) -> bool:
-    """Whether the ids of every edge, `total` ids in all and none below 0,
-    strictly increase."""
-    # a -1 starts each edge: no step onto it increases, every step off it does
-    spaced = [(-1,)] * (2 * len(edges))
-    spaced[1::2] = edges
-    flat = list(chain.from_iterable(spaced))
-    return sum(map(lt, flat, islice(flat, 1, None))) == total
-
-
-def _canonical_edges(n: int, edges: list) -> list[tuple[int, ...]]:
-    """The one edge rule, checked in bulk: each edge is a sequence of
-    distinct vertex ids (`_vertex_id`) in range(n), and is stored as the
-    sorted tuple of its ids.  A ValueError names an edge that breaks it."""
+def _flat(edges: list) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, ids) of `edges`, sequences of vertex ids (`_vertex_id`), for `_canonical`."""
     ids = list(chain.from_iterable(edges))
     if not set(map(type, ids)) <= {int}:
-        edges = [list(map(_vertex_id, e)) for e in edges]
-        ids = list(chain.from_iterable(edges))
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        bad = next(e for e in edges if e and (min(e) < 0 or max(e) >= n))
-        raise ValueError(f"vertex id out of range in edge {list(bad)}")
-    if not _increasing(edges, len(ids)):
-        ordered = list(map(sorted, edges))
-        if not _increasing(ordered, len(ids)):
-            bad = next(e for e in edges if len(set(e)) < len(e))
-            raise ValueError(f"duplicate vertex in edge {list(bad)}")
-        edges = ordered
-    return list(map(tuple, edges))
+        ids = list(map(_vertex_id, ids))
+    try:
+        flat = np.array(ids, dtype=np.int64)
+    except OverflowError:  # an id beyond int64 stays a Python int
+        flat = np.array(ids, dtype=object)
+    return np.fromiter(map(len, edges), np.int64, len(edges)), flat
+
+
+def _size_classes(sizes: np.ndarray):
+    """(size, count, start) for each edge size in `sizes`, which is sorted:
+    the `count` edges of that size hold ids[start:start + count * size]."""
+    start = 0
+    for size, count in enumerate(np.bincount(sizes).tolist()):
+        if count:
+            yield size, count, start
+            start += count * size
+
+
+def _edge_lists(sizes: np.ndarray, ids: np.ndarray):
+    """The edges of the flat arrays, in their order, each the list of its ids."""
+    flat = iter(ids.tolist())
+    return ([next(flat) for _ in range(size)] for size in sizes.tolist())
+
+
+def _canonical(n: int, sizes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one edge rule on flat arrays, edge e the `sizes[e]` ids after those
+    of edges 0..e-1: ids in range(n), none twice in an edge; a ValueError
+    names the first edge given that breaks it.  Returns new read-only (sizes,
+    ids) in canonical order, `ids` int64, or object for ids past int64."""
+    # min, max and sorted of lists: tiny hypergraphs pay for each numpy call
+    flat = ids.tolist()
+    if flat and (min(flat) < 0 or max(flat) >= n):
+        bad = next(e for e in _edge_lists(sizes, ids) if e and (min(e) < 0 or max(e) >= n))
+        raise ValueError(f"vertex id out of range in edge {bad}")
+    order = sizes.tolist()
+    if order == sorted(order):  # as sampled and as written
+        out, out_sizes = ids.copy(), sizes.copy()
+    else:  # sorted stably by their edge's size, the ids keep each edge whole and in place
+        out, out_sizes = ids[sizes.repeat(sizes).argsort(kind="stable")], np.sort(sizes)
+    for size, count, start in _size_classes(out_sizes):
+        if size == 1:
+            out[start:start + count].sort()  # one id each: sorting the ids sorts the edges
+        elif size:
+            edges = out[start:start + count * size].reshape(count, size)
+            edges.sort(axis=1)
+            if np.count_nonzero(edges[:, 1:] == edges[:, :-1]):
+                bad = next(e for e in _edge_lists(sizes, ids) if len(set(e)) < len(e))
+                raise ValueError(f"duplicate vertex in edge {bad}")
+            edges.take(np.lexsort(edges.T[::-1]), axis=0, out=edges)  # buffered: in place
+    out_sizes.setflags(write=False)
+    out.setflags(write=False)
+    return out_sizes, out
+
+
+_NO_EDGES = _canonical(1, *_flat([]))  # shared by every hypergraph without edges
 
 
 class Hypergraph:
-    """Multiset of hyperedges over vertices 0..n_vertices-1.
+    """Multiset of hyperedges over vertices 0..n_vertices-1, in the read-only
+    arrays `sizes` and `ids` (module docstring); equal multisets are equal."""
 
-    Edges are stored canonically as sorted tuples of distinct vertex ids
-    with integer multiplicities, so two hypergraphs compare equal exactly
-    when they are the same multiset over the same vertex count.
-    """
-
-    __slots__ = ("n_vertices", "_edges")
+    __slots__ = ("n_vertices", "sizes", "ids")
 
     def __init__(self, n_vertices: int, edges: Iterable[Iterable[int]] = ()) -> None:
         n_vertices = whole("n_vertices", n_vertices)
         if n_vertices < 1:
             raise ValueError("need at least one vertex")
         self.n_vertices = n_vertices
-        self._edges: Counter = Counter()
         edges = list(map(tuple, edges))
-        if edges:
-            self._edges.update(_canonical_edges(n_vertices, edges))
+        self.sizes, self.ids = _canonical(n_vertices, *_flat(edges)) if edges else _NO_EDGES
 
     def add_edge(self, vertices: Iterable[int], multiplicity: int = 1) -> None:
         multiplicity = whole("multiplicity", multiplicity)
         if multiplicity < 1:
             raise ValueError("multiplicity must be >= 1")
-        (edge,) = _canonical_edges(self.n_vertices, [tuple(vertices)])
-        self._edges[edge] += multiplicity
+        grown = Hypergraph(self.n_vertices, self.instances() + [tuple(vertices)] * multiplicity)
+        self.sizes, self.ids = grown.sizes, grown.ids
 
     def edge_counts(self) -> dict[tuple[int, ...], int]:
-        """Mapping edge -> multiplicity (a copy)."""
-        return dict(self._edges)
+        """Mapping edge -> multiplicity, in canonical order, where repeats are adjacent."""
+        return {edge: len(list(repeats)) for edge, repeats in groupby(self.instances())}
 
     def instances(self) -> list[tuple[int, ...]]:
-        """Edge instances expanded by multiplicity, in canonical order:
-        by size, then lexicographically.  Linear time when the edges were
-        added in that order."""
-        out = sorted(self._edges.elements())
-        out.sort(key=len)  # stable: each size keeps its lexicographic order
-        return out
+        """Edge instances expanded by multiplicity, in canonical order."""
+        return list(map(tuple, _edge_lists(self.sizes, self.ids)))
 
     def stats(self) -> EdgeStats:
         """(patches, debris, total) counted with multiplicity."""
-        patches = sum(m for e, m in self._edges.items() if len(e) == 1)
-        debris = self._edges.get((), 0)
-        total = sum(self._edges.values())
-        return EdgeStats(patches, debris, total)
-
-    def copy(self) -> "Hypergraph":
-        out = Hypergraph(self.n_vertices)
-        out._edges = Counter(self._edges)
-        return out
+        debris, below_two = self.sizes.searchsorted((1, 2)).tolist()  # sizes are sorted
+        return EdgeStats(below_two - debris, debris, len(self.sizes))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self.n_vertices == other.n_vertices and self._edges == other._edges
+        return (self.n_vertices == other.n_vertices and np.array_equal(self.sizes, other.sizes)
+                and np.array_equal(self.ids, other.ids))
 
     def __repr__(self) -> str:
         s = self.stats()
@@ -156,16 +157,17 @@ def sample_poisson(n_vertices: int, series: BetaSeries,
 
     For each size j the total number of j-edges is Poisson(N*bj), and each
     edge sits on an independently uniform j-subset, drawn with replacement
-    across edges so repeated subsets accumulate multiplicity.  Each size's
-    subsets go in sorted, so the edges are in canonical order.
+    across edges so repeated subsets accumulate multiplicity.
     """
     h = Hypergraph(n_vertices)
     if series.degree > h.n_vertices:
         raise ValueError("series degree exceeds the vertex count")
+    sizes, ids = [], []
     for j, bj in enumerate(series.coeffs):
         count = int(rng.poisson(n_vertices * bj))
-        if count:
-            h._edges.update(sorted(_uniform_subsets(n_vertices, j, count, rng)))
+        sizes += [j] * count
+        ids += _uniform_subsets(n_vertices, j, count, rng)
+    h.sizes, h.ids = _canonical(h.n_vertices, *(np.array(a, np.int64) for a in (sizes, ids)))
     return h
 
 
@@ -175,17 +177,18 @@ def sample_poisson(n_vertices: int, series: BetaSeries,
 _FEW_DRAWS = 8
 
 
-def _uniform_subsets(n: int, size: int, count: int,
-                     rng: np.random.Generator) -> list[tuple[int, ...]]:
-    """`count` uniform `size`-subsets of range(n), sorted, in draw order.
+def _uniform_subsets(n: int, size: int, count: int, rng: np.random.Generator) -> list[int]:
+    """The ids of `count` uniform `size`-subsets of range(n), in draw order,
+    one flat list; each subset's ids come in set order.
 
     Each subset takes `rng.integers(n)` draws until it holds `size`
     distinct ids.  The draws come in bulk, each time the least that the
     subsets still to come must use, so the stream ends where the
-    one-draw-at-a-time loop ends; when that least is `_FEW_DRAWS` or
-    fewer, they come one at a time.
+    one-draw-at-a-time loop ends: `rng.integers(n, size=k)` gives the
+    draws, and leaves the bit-generator state, of k scalar calls.  When
+    that least is `_FEW_DRAWS` or fewer, they come one at a time.
     """
-    subsets = []
+    subsets: list[int] = []
     draws: list[int] = []
     pos = 0
     for i in range(count):
@@ -199,8 +202,16 @@ def _uniform_subsets(n: int, size: int, count: int,
                 pos = 0
             picked.add(draws[pos])
             pos += 1
-        subsets.append(tuple(sorted(picked)))
+        subsets += picked
     return subsets
+
+
+def _without(h: Hypergraph, keep: np.ndarray) -> Hypergraph:
+    """`h` with the ids outside the mask `keep` over `h.ids` deleted from their edges."""
+    out, edge_of_id = Hypergraph(h.n_vertices), np.arange(len(h.sizes)).repeat(h.sizes)
+    kept_per_edge = np.bincount(edge_of_id[keep], minlength=len(h.sizes))
+    out.sizes, out.ids = _canonical(h.n_vertices, kept_per_edge, h.ids[keep])
+    return out
 
 
 def remove_vertex(h: Hypergraph, v: int) -> Hypergraph:
@@ -213,12 +224,7 @@ def remove_vertex(h: Hypergraph, v: int) -> Hypergraph:
     v = _vertex_id(v)
     if not 0 <= v < h.n_vertices:
         raise ValueError(f"vertex {v} out of range")
-    out = Hypergraph(h.n_vertices)
-    for edge, mult in h._edges.items():
-        if v in edge:
-            edge = tuple(u for u in edge if u != v)
-        out._edges[edge] += mult
-    return out
+    return _without(h, h.ids != v)
 
 
 @dataclass
@@ -243,9 +249,8 @@ def collapse_all(h: Hypergraph, rng: np.random.Generator,
                  record_trajectory: bool = False) -> CollapseOutcome:
     """Collapse until no patches remain, picking uniformly among patch instances.
 
-    The engine works on the canonical instance ordering, so equal
-    hypergraph values collapse identically under the same random stream
-    regardless of how they were built.  `rng` must be a
+    The loop takes the instances in canonical order, so equal hypergraphs
+    collapse alike under the same random stream.  `rng` must be a
     `numpy.random.Generator` (TypeError otherwise, before any work); with
     exactly that type, the patch loop runs in the compiled loop of
     `chain_kernel` when it loads, with the same draws and results.
@@ -254,21 +259,18 @@ def collapse_all(h: Hypergraph, rng: np.random.Generator,
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     from . import chain_kernel
 
-    instances = h.instances()
-    sizes = array("q", map(len, instances))
-    ids = array("q", chain.from_iterable(instances))
     kernel = chain_kernel.load() if type(rng) is np.random.Generator else None
     steps = _collapse_steps if kernel is None else kernel.collapse
-    identified, trajectory = steps(h.n_vertices, sizes, ids, rng, record_trajectory)
+    identified, trajectory = steps(h.n_vertices, h.sizes, h.ids, rng, record_trajectory)
 
-    gone = set(identified)
-    stable = Hypergraph(h.n_vertices)
-    stable._edges.update(e if gone.isdisjoint(e) else tuple(v for v in e if v not in gone)
-                         for e in instances)
-    return CollapseOutcome(identified, stable, stable._edges[()] - h._edges[()], trajectory)
+    gone = np.zeros(h.n_vertices, dtype=bool)
+    gone[identified] = True
+    stable = _without(h, ~gone[h.ids])
+    return CollapseOutcome(identified, stable, stable.stats().debris - h.stats().debris,
+                           trajectory)
 
 
-def _collapse_steps(n: int, sizes: array, ids: array,
+def _collapse_steps(n: int, sizes: np.ndarray, ids: np.ndarray,
                     rng: Optional[np.random.Generator], record_trajectory: bool):
     """The patch loop of `collapse_all` and `identifiable_set`:
     (identified, trajectory).
@@ -282,17 +284,11 @@ def _collapse_steps(n: int, sizes: array, ids: array,
     load-time check compare the two.
     """
     left = sizes.tolist()
-    ids = ids.tolist()
     incidence: list[list[int]] = [[] for _ in range(n)]
-    xor = []
-    start = 0
-    for eid, size in enumerate(left):
-        x = 0
-        for v in ids[start:start + size]:
-            incidence[v].append(eid)
-            x ^= v
-        xor.append(x)
-        start += size
+    xor = [0] * len(left)
+    for v, eid in zip(ids.tolist(), np.arange(len(left)).repeat(sizes).tolist()):
+        incidence[v].append(eid)
+        xor[eid] ^= v
 
     bag = [eid for eid, size in enumerate(left) if size == 1]
     patches = len(bag)
@@ -331,24 +327,26 @@ def identifiable_set(h: Hypergraph) -> set[int]:
 
     This is the set any full collapse removes, whatever its order and the
     edge multiplicities, so it is the patch loop of `collapse_all` run on
-    the distinct edges with the fixed pick (the last bag entry, no draw),
+    the edge instances with the fixed pick (the last bag entry, no draw),
     compiled when `chain_kernel` loads.  The empty edge is debris to the
     loop and changes nothing.
     """
     from . import chain_kernel
 
-    sizes = array("q", map(len, h._edges))
-    ids = array("q", chain.from_iterable(h._edges))
     kernel = chain_kernel.load()
     steps = _collapse_steps if kernel is None else kernel.collapse
-    return set(steps(h.n_vertices, sizes, ids, None, False)[0])
+    return set(steps(h.n_vertices, h.sizes, h.ids, None, False)[0])
 
 
 def write_hypergraph(h: Hypergraph, path: str) -> None:
-    """Write the line-oriented format: a {"N": n} header, then one JSON
-    array of sorted vertex ids per edge instance (repeats = multiplicity)."""
-    # str() of a list of ints is its json.dumps()
-    lines = [json.dumps({"N": h.n_vertices}), *map(str, map(list, h.instances()))]
+    """Write the line-oriented format: a {"N": n} header, then one JSON array
+    of sorted ids per edge instance, repeats for multiplicity, in canonical order."""
+    lines = ['{"N": %d}' % h.n_vertices]
+    ids = h.ids.tolist()
+    for size, count, start in _size_classes(h.sizes):
+        # "%d" of an int is its str(): each line is json.dumps() of its list
+        line = "[" + ", ".join(["%d"] * size) + "]"
+        lines.append("\n".join([line] * count) % tuple(ids[start:start + count * size]))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -377,7 +375,7 @@ def read_hypergraph(path: str) -> Hypergraph:
         h = Hypergraph(whole("N", header["N"]))
     except ValueError as exc:
         raise ValueError(f"{path}, line 1: {exc}") from None
-    check = partial(_edge_lines, h.n_vertices)
+    batches = []
     lineno, start = 2, 0
     while start < len(body):
         end = body.find("\n", start + _BATCH_CHARS)
@@ -385,16 +383,19 @@ def read_hypergraph(path: str) -> Hypergraph:
         lines = body[start:end].split("\n")
         edge_lines = list(filter(str.strip, lines))  # strip leaves nothing of a blank line
         try:
-            h._edges.update(check(edge_lines))
+            batches.append(_edge_lines(h.n_vertices, edge_lines))
         except ValueError:
             for no, line in enumerate(lines, lineno):
                 try:
-                    check([line] if line.strip() else [])
+                    _edge_lines(h.n_vertices, [line] if line.strip() else [])
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {no}: {exc}") from None
             raise AssertionError("the batch failed but none of its lines alone")
         lineno += len(lines)
         start = end + 1
+    if len(batches) > 1:  # each batch is in canonical order alone
+        batches = [_canonical(h.n_vertices, *map(np.concatenate, zip(*batches)))]
+    h.sizes, h.ids = batches[0] if batches else _NO_EDGES
     return h
 
 
@@ -412,18 +413,19 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _edge_lines(n: int, lines: list[str]) -> list[tuple[int, ...]]:
-    """The canonical edges of `lines`, each exactly one JSON array of ids.
+def _edge_lines(n: int, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of `lines`, each exactly one JSON array of ids, as
+    `_canonical` returns them.
 
     One `json.loads` parses the lines joined by ",null,".  They pass only
     if the result alternates one list per line with the null of each
-    joint, and `_canonical_edges` then finds only integer ids: a string
-    or nested list anywhere fails that, so each joint's null is a value
+    joint, and `_flat` then finds only integer ids: a string or nested
+    list anywhere fails that, so each joint's null is a value
     of its own between two lines, and each line holds exactly one value.
     "[1], [2" followed by "3]" parses, but as one value too few.
     """
     if not lines:
-        return []
+        return _NO_EDGES
     try:
         values = json.loads("[" + ",null,".join(lines) + "]")
     except json.JSONDecodeError as exc:
@@ -432,5 +434,5 @@ def _edge_lines(n: int, lines: list[str]) -> list[tuple[int, ...]]:
     if (len(values) != 2 * len(lines) - 1 or values[1::2].count(None) != len(lines) - 1
             or not set(map(type, edges)) <= {list}):
         raise ValueError("an edge line must be one JSON array")
-    return _canonical_edges(n, edges)
+    return _canonical(n, *_flat(edges))
 

@@ -328,6 +328,19 @@ def euler_fluctuation(coeffs, t_end: float, n_steps: int, rng: np.random.Generat
     return g
 
 
+def canonical_instances(n: int, edges) -> list[tuple[int, ...]]:
+    """The edge instances of `edges` by the tuple definition: each edge the
+    sorted tuple of its ids, which must be distinct integers in range(n),
+    counted with multiplicity in a Counter and ordered by (len, tuple)."""
+    counts: Counter = Counter()
+    for edge in edges:
+        ids = [int(v) for v in edge]
+        if len(set(ids)) < len(ids) or not all(0 <= v < n for v in ids):
+            raise ValueError(f"not an edge on {n} vertices: {edge!r}")
+        counts[tuple(sorted(ids))] += 1
+    return sorted(counts.elements(), key=lambda e: (len(e), e))
+
+
 def edges_inside(h: Hypergraph, vertex_set: set[int]) -> int:
     """Number of non-empty edge instances entirely inside vertex_set."""
     return sum(m for e, m in h.edge_counts().items()
@@ -343,7 +356,7 @@ def peeling_fixpoint(h: Hypergraph) -> set[int]:
     queue over a dict incidence, not the package's patch loop, which both
     `collapse_all` and `identifiable_set` run.
     """
-    edges = [e for e in h._edges if e]
+    edges = [e for e in h.edge_counts() if e]
     remaining = [len(e) for e in edges]
     incidence: dict[int, list[int]] = {}
     for eid, edge in enumerate(edges):

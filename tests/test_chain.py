@@ -4,7 +4,6 @@ import shutil
 import subprocess
 import sys
 import threading
-from array import array
 from collections import Counter
 
 import numpy as np
@@ -404,9 +403,13 @@ class TestKernel:
         state = plain(rng.bit_generator.state)
         for sizes, ids in (([1, 2], [0, 1]), ([1, -1], [0]), ([2], [0, 6]), ([2], [-1, 0])):
             with pytest.raises(ValueError, match="edge sizes do not match"):
-                kernel.collapse(6, array("q", sizes), array("q", ids), rng, False)
-        with pytest.raises(TypeError, match="typecode 'q'"):
-            kernel.collapse(6, array("i", [1]), array("q", [0]), rng, False)
+                kernel.collapse(6, np.array(sizes, dtype=np.int64), np.array(ids, dtype=np.int64),
+                                rng, False)
+        one = np.array([1], dtype=np.int64)
+        for sizes, ids in ((one.astype(np.int32), one), (one, [0]), (one, one.reshape(1, 1)),
+                           (one, np.arange(4, dtype=np.int64)[::2])):
+            with pytest.raises(TypeError, match="C-contiguous one-dimensional int64"):
+                kernel.collapse(6, sizes, ids, rng, False)
         assert plain(rng.bit_generator.state) == state
 
     def test_collapse_that_draws_differently_is_refused(self, kernel, monkeypatch, caplog):

@@ -273,7 +273,7 @@ class TestIdentifiableSet:
             size = int(rng.integers(0, min(3, h.n_vertices) + 1))
             extra = tuple(int(v) for v in rng.choice(h.n_vertices, size=size,
                                                      replace=False))
-            bigger = h.copy()
+            bigger = Hypergraph(h.n_vertices, h.instances())
             bigger.add_edge(extra)
             assert before == peeling_fixpoint(h)
             assert before.issubset(identifiable_set(bigger))

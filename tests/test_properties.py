@@ -6,7 +6,7 @@ import math
 import os
 import re
 import tempfile
-from array import array
+from collections import Counter
 from itertools import chain as chained
 
 import numpy as np
@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain_kernel,
                            collapse_all, hypergraph, identifiable_set, read_hypergraph,
-                           run_replicas, write_hypergraph)
-from helpers import peeling_fixpoint, per_line_read
+                           remove_vertex, run_replicas, write_hypergraph)
+from helpers import canonical_instances, peeling_fixpoint, per_line_read
 from test_chain import both_paths
 from test_hypergraph import assert_both_loops_collapse_alike
 from test_montecarlo import reference_deviation
@@ -210,6 +210,43 @@ def hypergraphs(draw):
     return Hypergraph(n, draw(st.lists(edge, max_size=12)))
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, edges): edges in any order, empty ones and repeats among them,
+    each a list or tuple of Python or numpy integer ids in any order."""
+    n = draw(st.integers(1, 8))
+    ids = st.lists(st.integers(0, n - 1), unique=True, max_size=min(n, 4))
+    kinds = st.sampled_from([int, np.int64, np.uint8, np.intp])
+    edges = [draw(st.sampled_from([list, tuple]))(map(draw(kinds), edge))
+             for edge in draw(st.lists(ids, max_size=12))]
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    return n, draw(st.permutations(edges + repeats))
+
+
+def without(edges, gone):
+    return [[v for v in edge if v not in gone] for edge in edges]
+
+
+@PROPERTY
+@given(drawn=edge_lists(), pick=st.integers(0, 7), seed=seeds)
+def test_storage_matches_the_tuple_definition(drawn, pick, seed):
+    n, edges = drawn
+    want = canonical_instances(n, edges)
+    h = Hypergraph(n, edges)
+    assert h.instances() == want
+    assert list(h.edge_counts().items()) == list(Counter(want).items())
+    sizes = [len(e) for e in want]
+    assert h.stats() == (sizes.count(1), sizes.count(0), len(want))
+    v = pick % n
+    assert remove_vertex(h, v).instances() == canonical_instances(n, without(edges, {v}))
+    for load in (chain_kernel.load, lambda: None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_kernel, "load", load)
+            outcome = collapse_all(h, np.random.default_rng(seed))
+        gone = set(outcome.identified)
+        assert outcome.stable.instances() == canonical_instances(n, without(edges, gone))
+
+
 @PROPERTY
 @given(h=hypergraphs())
 def test_reader_round_trips_the_writer(h):
@@ -246,10 +283,7 @@ def test_compiled_collapse_matches_the_python_loop_draw_for_draw(kernel, h, seed
 @given(h=hypergraphs())
 def test_compiled_fixed_pick_removes_in_the_python_order(kernel, h):
     # every instance, so that repeated patches leave stale bag entries
-    instances = h.instances()
-    sizes = array("q", map(len, instances))
-    ids = array("q", chained.from_iterable(instances))
-    got = kernel.collapse(h.n_vertices, sizes, ids, None, True)
-    want = hypergraph._collapse_steps(h.n_vertices, sizes, ids, None, True)
+    got = kernel.collapse(h.n_vertices, h.sizes, h.ids, None, True)
+    want = hypergraph._collapse_steps(h.n_vertices, h.sizes, h.ids, None, True)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
