@@ -68,8 +68,15 @@ def _size_classes(sizes: np.ndarray):
 
 def _edge_lists(sizes: np.ndarray, ids: np.ndarray):
     """The edges of the flat arrays, in their order, each the list of its ids."""
-    flat = iter(ids.tolist())
-    return ([next(flat) for _ in range(size)] for size in sizes.tolist())
+    flat, start = ids.tolist(), 0
+    for size in sizes.tolist():
+        yield flat[start:start + size]
+        start += size
+
+
+# Up to this many edges `_canonical` sorts Python lists, to the same result: on a
+# tiny hypergraph each numpy call, slower still after file I/O, outweighs the work.
+_FEW_EDGES = 32
 
 
 def _canonical(n: int, sizes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,26 +84,28 @@ def _canonical(n: int, sizes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, 
     of edges 0..e-1: ids in range(n), none twice in an edge; a ValueError
     names the first edge given that breaks it.  Returns new read-only (sizes,
     ids) in canonical order, `ids` int64, or object for ids past int64."""
-    # min, max and sorted of lists: tiny hypergraphs pay for each numpy call
+    # min and max of a list: tiny hypergraphs pay for each numpy call
     flat = ids.tolist()
     if flat and (min(flat) < 0 or max(flat) >= n):
         bad = next(e for e in _edge_lists(sizes, ids) if e and (min(e) < 0 or max(e) >= n))
         raise ValueError(f"vertex id out of range in edge {bad}")
-    order = sizes.tolist()
-    if order == sorted(order):  # as sampled and as written
-        out, out_sizes = ids.copy(), sizes.copy()
+    if len(sizes) <= _FEW_EDGES:  # sorted lexicographically, then stably by size
+        edges = sorted(sorted(map(sorted, _edge_lists(sizes, ids))), key=len)
+        dup = sum(map(len, map(set, edges))) < len(flat)  # a repeat is not distinct
+        out_sizes = np.fromiter(map(len, edges), np.int64, len(edges))
+        out = np.array(list(chain.from_iterable(edges)), dtype=ids.dtype)
     else:  # sorted stably by their edge's size, the ids keep each edge whole and in place
         out, out_sizes = ids[sizes.repeat(sizes).argsort(kind="stable")], np.sort(sizes)
-    for size, count, start in _size_classes(out_sizes):
-        if size == 1:
-            out[start:start + count].sort()  # one id each: sorting the ids sorts the edges
-        elif size:
-            edges = out[start:start + count * size].reshape(count, size)
-            edges.sort(axis=1)
-            if np.count_nonzero(edges[:, 1:] == edges[:, :-1]):
-                bad = next(e for e in _edge_lists(sizes, ids) if len(set(e)) < len(e))
-                raise ValueError(f"duplicate vertex in edge {bad}")
-            edges.take(np.lexsort(edges.T[::-1]), axis=0, out=edges)  # buffered: in place
+        dup = False
+        for size, count, start in _size_classes(out_sizes):
+            if size:
+                edges = out[start:start + count * size].reshape(count, size)
+                edges.sort(axis=1)
+                dup = dup or bool(np.count_nonzero(edges[:, 1:] == edges[:, :-1]))
+                edges.take(np.lexsort(edges.T[::-1]), axis=0, out=edges)  # buffered: in place
+    if dup:
+        bad = next(e for e in _edge_lists(sizes, ids) if len(set(e)) < len(e))
+        raise ValueError(f"duplicate vertex in edge {bad}")
     out_sizes.setflags(write=False)
     out.setflags(write=False)
     return out_sizes, out
@@ -120,11 +129,13 @@ class Hypergraph:
         self.sizes, self.ids = _canonical(n_vertices, *_flat(edges)) if edges else _NO_EDGES
 
     def add_edge(self, vertices: Iterable[int], multiplicity: int = 1) -> None:
-        multiplicity = whole("multiplicity", multiplicity)
-        if multiplicity < 1:
+        """Add `multiplicity` instances of `vertices`, in time linear in all instances."""
+        m = whole("multiplicity", multiplicity)
+        if m < 1:
             raise ValueError("multiplicity must be >= 1")
-        grown = Hypergraph(self.n_vertices, self.instances() + [tuple(vertices)] * multiplicity)
-        self.sizes, self.ids = grown.sizes, grown.ids
+        size, ids = _flat([tuple(vertices)])
+        self.sizes, self.ids = _canonical(self.n_vertices, np.append(self.sizes, size.repeat(m)),
+                                          np.concatenate([self.ids, np.tile(ids, m)]))
 
     def edge_counts(self) -> dict[tuple[int, ...], int]:
         """Mapping edge -> multiplicity, in canonical order, where repeats are adjacent."""
@@ -206,11 +217,16 @@ def _uniform_subsets(n: int, size: int, count: int, rng: np.random.Generator) ->
     return subsets
 
 
-def _without(h: Hypergraph, keep: np.ndarray) -> Hypergraph:
-    """`h` with the ids outside the mask `keep` over `h.ids` deleted from their edges."""
-    out, edge_of_id = Hypergraph(h.n_vertices), np.arange(len(h.sizes)).repeat(h.sizes)
-    kept_per_edge = np.bincount(edge_of_id[keep], minlength=len(h.sizes))
-    out.sizes, out.ids = _canonical(h.n_vertices, kept_per_edge, h.ids[keep])
+def _without(h: Hypergraph, removed: list[int]) -> Hypergraph:
+    """`h` with the vertices `removed` deleted from every edge."""
+    out = Hypergraph(h.n_vertices)
+    out.sizes, out.ids = h.sizes, h.ids  # read-only, so shared when nothing is removed
+    if removed:
+        gone = np.zeros(h.n_vertices, dtype=bool)
+        gone[removed] = True
+        keep = ~gone[h.ids]  # each edge keeps the ids of it that the mask keeps
+        kept = np.bincount(np.arange(len(h.sizes)).repeat(h.sizes)[keep], minlength=len(h.sizes))
+        out.sizes, out.ids = _canonical(h.n_vertices, kept, h.ids[keep])
     return out
 
 
@@ -224,7 +240,7 @@ def remove_vertex(h: Hypergraph, v: int) -> Hypergraph:
     v = _vertex_id(v)
     if not 0 <= v < h.n_vertices:
         raise ValueError(f"vertex {v} out of range")
-    return _without(h, h.ids != v)
+    return _without(h, [v])
 
 
 @dataclass
@@ -262,10 +278,7 @@ def collapse_all(h: Hypergraph, rng: np.random.Generator,
     kernel = chain_kernel.load() if type(rng) is np.random.Generator else None
     steps = _collapse_steps if kernel is None else kernel.collapse
     identified, trajectory = steps(h.n_vertices, h.sizes, h.ids, rng, record_trajectory)
-
-    gone = np.zeros(h.n_vertices, dtype=bool)
-    gone[identified] = True
-    stable = _without(h, ~gone[h.ids])
+    stable = _without(h, identified)
     return CollapseOutcome(identified, stable, stable.stats().debris - h.stats().debris,
                            trajectory)
 

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from hypercollapse import (BetaSeries, Hypergraph, chain_kernel, collapse_all,
+from hypercollapse import (BetaSeries, Hypergraph, chain_kernel, collapse_all, hypergraph,
                            identifiable_set, read_hypergraph, remove_vertex,
                            sample_poisson, write_hypergraph)
 from helpers import (edges_inside, peeling_fixpoint, per_edge_poisson_sample, plain,
@@ -44,6 +44,14 @@ class TestHypergraph:
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError):
             Hypergraph(3, [(0, 3)])
+
+    @pytest.mark.parametrize("few", [0, hypergraph._FEW_EDGES])  # numpy, then lists
+    def test_errors_name_the_first_bad_edge_as_given(self, monkeypatch, few):
+        monkeypatch.setattr(hypergraph, "_FEW_EDGES", few)
+        with pytest.raises(ValueError, match=r"duplicate vertex in edge \[2, 1, 2\]$"):
+            Hypergraph(3, [(0, 1), (2, 1, 2), (1, 1), (0, 0)])
+        with pytest.raises(ValueError, match=r"out of range in edge \[3, 0\]$"):
+            Hypergraph(3, [(0, 1), (3, 0), (0, 5)])
 
     @pytest.mark.parametrize("vertex", [0.5, 1.0, True, "1", None])
     def test_rejects_vertex_ids_that_are_not_integers(self, vertex):

@@ -192,9 +192,11 @@ def test_reader_agrees_with_a_per_line_reader(text, batch):
             want = per_line_read(path)
         except ValueError as exc:
             want = re.match(re.escape(path) + r", line \d+: ", str(exc)).group()
-        for chars in (hypergraph._BATCH_CHARS, batch):
+        # the small batches are ordered with numpy, the default one as lists
+        for chars, few in ((hypergraph._BATCH_CHARS, hypergraph._FEW_EDGES), (batch, 0)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(hypergraph, "_BATCH_CHARS", chars)
+                mp.setattr(hypergraph, "_FEW_EDGES", few)
                 if isinstance(want, str):
                     with pytest.raises(ValueError, match="^" + re.escape(want)):
                         read_hypergraph(path)
@@ -227,9 +229,16 @@ def without(edges, gone):
     return [[v for v in edge if v not in gone] for edge in edges]
 
 
+@pytest.mark.parametrize("few", [0, hypergraph._FEW_EDGES])  # numpy, then lists
 @PROPERTY
 @given(drawn=edge_lists(), pick=st.integers(0, 7), seed=seeds)
-def test_storage_matches_the_tuple_definition(drawn, pick, seed):
+def test_storage_matches_the_tuple_definition(few, drawn, pick, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypergraph, "_FEW_EDGES", few)
+        check_storage(drawn, pick, seed)
+
+
+def check_storage(drawn, pick, seed):
     n, edges = drawn
     want = canonical_instances(n, edges)
     h = Hypergraph(n, edges)
@@ -237,6 +246,10 @@ def test_storage_matches_the_tuple_definition(drawn, pick, seed):
     assert list(h.edge_counts().items()) == list(Counter(want).items())
     sizes = [len(e) for e in want]
     assert h.stats() == (sizes.count(1), sizes.count(0), len(want))
+    grown, times = Hypergraph(n), 1 + pick % 2
+    for edge in edges:
+        grown.add_edge(edge, times)
+    assert grown.instances() == canonical_instances(n, edges * times)
     v = pick % n
     assert remove_vertex(h, v).instances() == canonical_instances(n, without(edges, {v}))
     for load in (chain_kernel.load, lambda: None):
