@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -65,11 +65,8 @@ class ChainRun:
 def _steps(n: int, rates: np.ndarray, rng: np.random.Generator, mean_patches: float,
            mean_debris: float, record_trajectory: bool):
     """Draw patches ~ Poisson(mean_patches), then debris ~ Poisson(mean_debris),
-    and step to absorption: (removed, debris, trajectory).
-
-    The reference loop.  `chain_kernel.c` runs the same replica with the
-    same draws; tests and the kernel's load-time check compare the two.
-    """
+    and step to absorption: (removed, debris, trajectory).  The reference
+    loop of one replica, as `chain_kernel.c` draws it."""
     patches = int(rng.poisson(mean_patches))
     debris = int(rng.poisson(mean_debris))
     rates = rates.tolist()
@@ -91,11 +88,50 @@ def _steps(n: int, rates: np.ndarray, rng: np.random.Generator, mean_patches: fl
 
 def _deviation(n: int, trajectory: np.ndarray, fluid: np.ndarray) -> float:
     """Largest distance in patches or debris of a trajectory on n vertices
-    from the fluid path `fluid` at t = k/n, row k of each at removed = k.
-
-    The reference of the deviations that `chain_kernel.c` takes.
-    """
+    from the fluid path `fluid` at t = k/n, row k of each at removed = k:
+    the reference of the deviations that `chain_kernel.c` takes."""
     return float(np.abs(trajectory[:, 1:] / n - fluid[:len(trajectory), 1:]).max())
+
+
+def _batch_arguments(n: int, rates: np.ndarray, m: int, fluid: Optional[np.ndarray],
+                     trajectory: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Check a batch's arguments; `fluid` as C-contiguous float64, or None."""
+    if (rates.dtype != np.float64 or rates.ndim != 1 or len(rates) < n
+            or not rates.flags.c_contiguous):
+        raise ValueError("rates must be a C-contiguous float64 array of at least n values")
+    if trajectory is not None and (m != 1 or trajectory.shape != (n + 1, 3)
+                                   or trajectory.dtype != np.int64
+                                   or not trajectory.flags.c_contiguous):
+        raise ValueError("a trajectory needs a batch of one and an (n + 1, 3) int64 array")
+    if fluid is not None:
+        fluid = np.ascontiguousarray(fluid, dtype=np.float64)
+        if fluid.shape != (n + 1, 3):
+            raise ValueError(f"fluid must have shape {(n + 1, 3)}, got {fluid.shape}")
+    return fluid
+
+
+def _batch(n: int, rates: np.ndarray, bit_generators: Sequence[np.random.BitGenerator],
+           mean_patches: float, mean_debris: float,
+           fluid: Optional[np.ndarray] = None, trajectory: Optional[np.ndarray] = None):
+    """The Python reference of `chain_kernel.Kernel.batch`, with the same
+    arguments, results and errors: one `_steps` replica per bit generator,
+    in order.  Returns (counts, deviations): int64 rows (removed, debris),
+    and each replica's `_deviation` from `fluid`, the fluid path at t = k/n
+    in row k = 0..n, or None without `fluid`.  `trajectory`, for a batch of
+    one, is an (n + 1, 3) int64 array that receives the rows."""
+    fluid = _batch_arguments(n, rates, len(bit_generators), fluid, trajectory)
+    counts = np.empty((len(bit_generators), 2), dtype=np.int64)
+    deviations = None if fluid is None else np.empty(len(bit_generators))
+    for r, bit_generator in enumerate(bit_generators):
+        removed, debris, rows = _steps(n, rates, np.random.Generator(bit_generator),
+                                       mean_patches, mean_debris,
+                                       fluid is not None or trajectory is not None)
+        counts[r] = removed, debris
+        if fluid is not None:
+            deviations[r] = _deviation(n, rows, fluid)
+        if trajectory is not None:
+            trajectory[:len(rows)] = rows
+    return counts, deviations
 
 
 def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
@@ -105,12 +141,16 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
 
     Starts with patches ~ Poisson(N*b1) and debris ~ Poisson(N*b0), steps
     until no patches remain.  Absorption happens by removed = N at the
-    latest: with one vertex left every remaining patch sits on it.  With a
-    `numpy.random.Generator`, the run is a batch of one in the compiled
-    loop of `chain_kernel` when it loads, with the same draws and results.
+    latest: with one vertex left every remaining patch sits on it.  The run
+    is a batch of one on `rng.bit_generator`, under its lock: in the
+    compiled loop of `chain_kernel` when it loads, else in `_batch`, with
+    the same draws and results.  `rng` must be a `numpy.random.Generator`
+    (TypeError otherwise); a subclass draws as the base class.
     """
     from . import chain_kernel
 
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     N = whole("n_vertices", n_vertices)
     if N < 1:
         raise ValueError("need at least one vertex")
@@ -118,13 +158,11 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
         # one vertex has no 2-subsets: no 2-edges, rate 0
         rate_table = edge_rate_curve(N, 2, series) if N > 1 else np.zeros(1)
     rates = np.ascontiguousarray(rate_table, dtype=np.float64)
-    if rates.ndim != 1:
-        raise ValueError(f"rate_table must be one-dimensional, got shape {rates.shape}")
-    if len(rates) < N:
-        raise ValueError("rate_table shorter than n_vertices")
-
-    kernel = chain_kernel.load() if type(rng) is np.random.Generator else None
-    steps = _steps if kernel is None else kernel.run
-    removed, debris, trajectory = steps(N, rates, rng, N * series.coeff(1),
-                                        N * series.coeff(0), record_trajectory)
-    return ChainRun(removed, debris, trajectory)
+    kernel = chain_kernel.load()
+    trajectory = np.empty((N + 1, 3), dtype=np.int64) if record_trajectory else None
+    with rng.bit_generator.lock:
+        counts, _ = (_batch if kernel is None else kernel.batch)(
+            N, rates, [rng.bit_generator], N * series.coeff(1), N * series.coeff(0),
+            trajectory=trajectory)
+    removed, debris = counts[0].tolist()
+    return ChainRun(removed, debris, None if trajectory is None else trajectory[:removed + 1])

@@ -38,6 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .chain import _batch_arguments
+
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "chain_kernel.c")
 _NPYRANDOM = os.path.join(os.path.dirname(os.path.abspath(np.random.__file__)), "lib")
 _BUILD_TIMEOUT_S = 120
@@ -79,9 +81,8 @@ def _bitgen(bit_generator: np.random.BitGenerator) -> int:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A loaded library; `run` is a drop-in for `chain._steps`, `batch` runs
-    many replicas in one call, and `collapse` is a drop-in for
-    `hypergraph._collapse_steps`."""
+    """A loaded library: `batch` is a drop-in for `chain._batch`, and
+    `collapse` for `hypergraph._collapse_steps`."""
 
     path: str
     _batch: ctypes._CFuncPtr = field(repr=False, compare=False)
@@ -92,26 +93,10 @@ class Kernel:
               mean_patches: float, mean_debris: float,
               fluid: Optional[np.ndarray] = None,
               trajectory: Optional[np.ndarray] = None):
-        """One replica of `chain._steps` per bit generator, in order, in one
-        call: (counts, deviations).  counts is an int64 array of rows
-        (removed, debris); deviations holds each replica's largest distance
-        in patches or debris from `fluid`, the fluid path at t = k/n in row
-        k = 0..n, or is None without `fluid`.  `rates` is the rate table,
-        C-contiguous float64 of length >= n.  `trajectory`, for a batch of
-        one, is an (n + 1, 3) int64 array that receives the rows.  The
-        caller holds the generators' locks or owns them alone."""
+        """`chain._batch` in one call, with the same draws; the caller holds
+        the generators' locks or owns them alone."""
         m = len(bit_generators)
-        if (rates.dtype != np.float64 or rates.ndim != 1 or len(rates) < n
-                or not rates.flags.c_contiguous):
-            raise ValueError("rates must be a C-contiguous float64 array of at least n values")
-        if trajectory is not None and (m != 1 or trajectory.shape != (n + 1, 3)
-                                       or trajectory.dtype != np.int64
-                                       or not trajectory.flags.c_contiguous):
-            raise ValueError("a trajectory needs a batch of one and an (n + 1, 3) int64 array")
-        if fluid is not None:
-            fluid = np.ascontiguousarray(fluid, dtype=np.float64)
-            if fluid.shape != (n + 1, 3):
-                raise ValueError(f"fluid must have shape {(n + 1, 3)}, got {fluid.shape}")
+        fluid = _batch_arguments(n, rates, m, fluid, trajectory)
         counts = np.empty((m, 2), dtype=np.int64)
         deviations = None if fluid is None else np.empty(m)
         status = self._batch(n, rates.ctypes.data, _LAM_MAX, m,
@@ -124,18 +109,6 @@ class Kernel:
         if status:
             _raise(status)
         return counts, deviations
-
-    def run(self, n: int, rates: np.ndarray, rng: np.random.Generator,
-            mean_patches: float, mean_debris: float, record_trajectory: bool):
-        """A batch of one on `rng`, under its bit generator's lock:
-        (removed, debris, trajectory) as `chain._steps` gives them."""
-        trajectory = np.empty((n + 1, 3), dtype=np.int64) if record_trajectory else None
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            counts, _ = self.batch(n, rates, [bitgen], mean_patches, mean_debris,
-                                   trajectory=trajectory)
-        removed, debris = counts[0].tolist()
-        return removed, debris, None if trajectory is None else trajectory[:removed + 1]
 
     def collapse(self, n: int, sizes: np.ndarray, ids: np.ndarray,
                  rng: Optional[np.random.Generator], record_trajectory: bool):
@@ -233,40 +206,35 @@ def _self_check(kernel: Kernel) -> None:
     """Run fixed replica batches and a fixed collapse through the kernel
     and through the Python loops.
 
-    Two batches of two replicas on 24 vertices: many patches (a mean of
-    2000) take numpy's BTPE binomial branch, few (a mean of 3) its
-    inversion branch, the last step its p = 1 case; the means cross 10,
-    where numpy's Poisson sampler switches method.  Each batch runs with
-    and without a fluid table, and its first replica once more through
-    `run`, with its trajectory.  The collapse leaves stale entries in its
-    bag, and its bag falls to one entry, where `Generator.integers(1)`
-    draws nothing.  The same collapse runs once more with the fixed pick
-    of `identifiable_set`.
+    Batches on 24 vertices: many patches (a mean of 2000) take numpy's
+    BTPE binomial branch, few (a mean of 3) its inversion branch, the last
+    step its p = 1 case; the means cross 10, where numpy's Poisson sampler
+    switches method.  `Kernel.batch` and `chain._batch` run each mean on
+    the same arguments: two replicas without and with a fluid table, and
+    a batch of one with its trajectory, as `chain.run` makes it.  The
+    collapse leaves stale entries in its bag, and its bag falls to one
+    entry, where `Generator.integers(1)` draws nothing.  The same collapse
+    runs once more with the fixed pick of `identifiable_set`.
     """
-    from .chain import _deviation, _steps
+    from .chain import _batch
     from .hypergraph import _collapse_steps, _flat
 
     n = 24
     rates = np.linspace(0.2, 2.0, n)
     fluid = np.linspace(0.0, 60.0, 3 * (n + 1)).reshape(n + 1, 3)
     for means in ((3.0, 0.5), (2000.0, 0.5)):
-        wants = [np.random.Generator(np.random.PCG64(20_011 + r)) for r in range(2)]
-        want = [_steps(n, rates, rng, *means, True) for rng in wants]
-        for table in (None, fluid):
-            gots = [np.random.PCG64(20_011 + r) for r in range(2)]
-            counts, deviations = kernel.batch(n, rates, gots, *means, table)
-            if (counts.tolist() != [[removed, debris] for removed, debris, _ in want]
-                    or (table is not None and deviations.tolist()
-                        != [_deviation(n, trajectory, table) for *_, trajectory in want])
-                    or [g.state for g in gots] != [w.bit_generator.state for w in wants]):
+        for m, table, rows in ((2, None, False), (2, fluid, False), (1, None, True)):
+            outcomes = []
+            for batch in (kernel.batch, _batch):
+                bit_generators = [np.random.PCG64(20_011 + r) for r in range(m)]
+                trajectory = np.zeros((n + 1, 3), dtype=np.int64) if rows else None
+                counts, deviations = batch(n, rates, bit_generators, *means, table, trajectory)
+                # np.asarray(None).tolist() is None
+                outcomes.append([np.asarray(a).tolist() for a in (counts, deviations, trajectory)]
+                                + [g.state for g in bit_generators])
+            if outcomes[0] != outcomes[1]:
                 raise _SelfCheckError(f"{kernel.path} drew differently from the Python "
-                                     f"loop in a batch with a mean of {means[0]} patches")
-        got_rng = np.random.Generator(np.random.PCG64(20_011))
-        got = kernel.run(n, rates, got_rng, *means, True)
-        if (got[:2] != want[0][:2] or not np.array_equal(got[2], want[0][2])
-                or got_rng.bit_generator.state != wants[0].bit_generator.state):
-            raise _SelfCheckError(f"{kernel.path} drew differently from the Python "
-                                 f"loop in a run with a mean of {means[0]} patches")
+                                      f"loop in a batch with a mean of {means[0]} patches")
     # three patches on vertex 0 leave two stale entries; 6 and 7 stay
     edges = [(), (0,), (0,), (0,), (1,), (0, 2), (2, 3), (4, 5), (6, 7), (1, 3, 4), (5, 6, 7)]
     sizes, ids = _flat(edges)
@@ -285,8 +253,8 @@ def _self_check(kernel: Kernel) -> None:
 
 @functools.cache
 def load() -> Optional[Kernel]:
-    """The compiled loops, or None when `chain.run`, `collapse_all` and
-    `identifiable_set` use their Python loops."""
+    """The compiled loops, or None when `chain._batch` and
+    `hypergraph._collapse_steps` run instead."""
     if os.name != "posix":
         log.info("no compiled chain kernel on %s; using the Python loops", os.name)
         return None

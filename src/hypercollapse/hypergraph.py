@@ -267,17 +267,18 @@ def collapse_all(h: Hypergraph, rng: np.random.Generator,
 
     The loop takes the instances in canonical order, so equal hypergraphs
     collapse alike under the same random stream.  `rng` must be a
-    `numpy.random.Generator` (TypeError otherwise, before any work); with
-    exactly that type, the patch loop runs in the compiled loop of
-    `chain_kernel` when it loads, with the same draws and results.
+    `numpy.random.Generator` (TypeError otherwise, before any work), and a
+    subclass draws as the base class; the patch loop runs in the compiled
+    loop of `chain_kernel` when it loads, with the same draws and results.
     """
     if not isinstance(rng, np.random.Generator):
         raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     from . import chain_kernel
 
-    kernel = chain_kernel.load() if type(rng) is np.random.Generator else None
+    kernel = chain_kernel.load()
     steps = _collapse_steps if kernel is None else kernel.collapse
-    identified, trajectory = steps(h.n_vertices, h.sizes, h.ids, rng, record_trajectory)
+    identified, trajectory = steps(h.n_vertices, h.sizes, h.ids,
+                                   np.random.Generator(rng.bit_generator), record_trajectory)
     stable = _without(h, identified)
     return CollapseOutcome(identified, stable, stable.stats().debris - h.stats().debris,
                            trajectory)

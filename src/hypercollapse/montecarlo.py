@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import _deviation, edge_rate_curve, run
+from .chain import _batch, edge_rate_curve
 from .fluid import path_grid
 from .series import (BetaSeries, DegenerateModelError, T_CAP, real, resolve_model,
                      whole)
@@ -168,30 +168,18 @@ def _replica_batch(series: BetaSeries, n_vertices: int, table: np.ndarray,
     largest distance in patches or debris from that path over the rows of
     the replica's trajectory; row k of a trajectory has removed = k, so it
     meets row k of the path.  The batch's seeds are derived at once, and
-    with the compiled kernel the whole batch is one call that builds no
-    trajectory; without it each replica runs through `run` and keeps its
-    trajectory for the deviation.
+    the whole batch is one call, to the compiled kernel when it loads, else
+    to its Python reference `chain._batch`, on the same arguments.
     """
     from . import chain_kernel
 
     seeds = derive_seeds(master_seed, n_vertices, range(lo, hi))
     kernel = chain_kernel.load()
-    if kernel is None:
-        runs = []
-        for seed in seeds:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            result = run(n_vertices, series, rng,
-                         record_trajectory=fluid is not None, rate_table=table)
-            deviation = None
-            if fluid is not None:
-                deviation = _deviation(n_vertices, result.trajectory, fluid)
-            runs.append((result.removed, result.debris, deviation))
-    else:
-        counts, deviations = kernel.batch(
-            n_vertices, table, [np.random.PCG64(seed) for seed in seeds],
-            n_vertices * series.coeff(1), n_vertices * series.coeff(0), fluid)
-        runs = zip(*counts.T.tolist(),
-                   [None] * len(seeds) if deviations is None else deviations.tolist())
+    counts, deviations = (_batch if kernel is None else kernel.batch)(
+        n_vertices, table, [np.random.PCG64(seed) for seed in seeds],
+        n_vertices * series.coeff(1), n_vertices * series.coeff(0), fluid)
+    runs = zip(*counts.T.tolist(),
+               [None] * len(seeds) if deviations is None else deviations.tolist())
     return [ReplicaRecord(n_vertices=n_vertices, replica=replica, seed=seed,
                           v_star_frac=removed / n_vertices,
                           debris_frac=debris / n_vertices, stop_step=removed,

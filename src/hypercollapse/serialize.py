@@ -32,9 +32,13 @@ def _cell(value) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    """The package's one file writer; it creates the parent directory."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """The package's one file writer; it creates a missing parent directory."""
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    with fh:
         fh.write(text)
 
 

@@ -221,6 +221,16 @@ def plain(state):
     return state.tolist() if isinstance(state, np.ndarray) else state
 
 
+class OverriddenGenerator(np.random.Generator):
+    """A Generator whose draw methods fail when called, to show that a loop
+    draws as the base class does."""
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("an overridden draw method was called")
+
+    binomial = poisson = integers
+
+
 def per_edge_poisson_sample(n_vertices: int, coeffs, rng: np.random.Generator) -> Counter:
     """Poisson(beta) edge multiset, one edge and one vertex draw at a time.
 

@@ -13,8 +13,8 @@ from hypercollapse import (BetaSeries, ExperimentConfig, chain, chain_kernel,
                            collapse_all, critical_alpha, edge_rate_curve,
                            from_binomial_family, from_graph_params, hypergraph, run,
                            run_replicas, sample_poisson)
-from helpers import (absorption_law, exact_edge_rate, first_negative_root, plain,
-                     tv_distance)
+from helpers import (OverriddenGenerator, absorption_law, exact_edge_rate,
+                     first_negative_root, plain, tv_distance)
 
 
 EX1 = from_graph_params(0.1, 0.5)
@@ -194,6 +194,24 @@ class TestRun:
         with pytest.raises(ValueError, match="n_vertices must be a whole number"):
             run(n_vertices, EX1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("rng", [None, np.random.RandomState(0)])
+    def test_refuses_an_rng_that_is_not_a_generator(self, rng):
+        with pytest.raises(TypeError, match="must be a numpy.random.Generator"):
+            run(50, EX1, rng)
+
+    def test_a_generator_subclass_draws_as_its_base_class(self):
+        # on both loops: the subclass's own poisson and binomial are not called
+        for load in (chain_kernel.load, lambda: None):
+            got_rng = OverriddenGenerator(np.random.PCG64(8))
+            want_rng = np.random.Generator(np.random.PCG64(8))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(chain_kernel, "load", load)
+                got, want = (run(200, EX1, rng, record_trajectory=True)
+                             for rng in (got_rng, want_rng))
+            assert want.removed > 0
+            assert np.array_equal(got.trajectory, want.trajectory)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_rate_table_argument_changes_nothing(self):
         table = edge_rate_curve(60, 2, EX1)
         a = run(60, EX1, np.random.default_rng(9), rate_table=table)
@@ -331,11 +349,14 @@ class TestKernel:
         assert type(got) is type(want) is OverflowError
         assert got_state == want_state
 
-    def test_batch_matches_a_run_per_replica(self, kernel):
-        # the fluid table only needs n + 1 rows of finite values here
+    def test_batch_matches_a_run_per_replica(self, kernel, monkeypatch):
+        # the fluid table only needs n + 1 rows of finite values here; with
+        # the kernel loaded `run` is a batch of one on it, so the runs take
+        # the Python loop
         n, means = 300, (300 * EX1.coeff(1), 0.0)
         table = edge_rate_curve(n, 2, EX1)
         fluid = np.random.default_rng(4).uniform(0.0, 0.3, size=(n + 1, 3))
+        monkeypatch.setattr(chain_kernel, "load", lambda: None)
         for path_table in (None, fluid):
             got = [np.random.PCG64(seed) for seed in range(7)]
             counts, deviations = kernel.batch(n, table, got, *means, path_table)
@@ -364,10 +385,11 @@ class TestKernel:
                 failed = (r, str(exc))
                 break
         assert failed is not None and 0 < failed[0] < 11
-        got = [np.random.PCG64(seed) for seed in range(12)]
-        with pytest.raises(ValueError, match="^lam value too large$"):
-            kernel.batch(n, table, got, 0.2, 0.0)
-        assert [g.state for g in got] == [w.bit_generator.state for w in want]
+        for batch in (kernel.batch, chain._batch):
+            got = [np.random.PCG64(seed) for seed in range(12)]
+            with pytest.raises(ValueError, match="^lam value too large$"):
+                batch(n, table, got, 0.2, 0.0)
+            assert [g.state for g in got] == [w.bit_generator.state for w in want]
 
     def test_a_nan_in_the_fluid_table_gives_a_nan_deviation(self, kernel):
         n = 200
@@ -379,19 +401,21 @@ class TestKernel:
         reached = counts[:, 0] >= 30
         assert reached.any() and not reached.all()
         assert np.array_equal(np.isnan(deviations), reached)
-        for seed in range(20):
-            want = run(n, EX1, np.random.default_rng(seed), record_trajectory=True,
-                       rate_table=table)
-            assert np.array_equal(deviations[seed],
-                                  chain._deviation(n, want.trajectory, fluid), equal_nan=True)
+        want = chain._batch(n, table, [np.random.PCG64(s) for s in range(20)],
+                            n * EX1.coeff(1), 0.0, fluid)
+        assert np.array_equal(counts, want[0])
+        assert np.array_equal(deviations, want[1], equal_nan=True)
 
     def test_batch_refuses_tables_that_do_not_fit(self, kernel):
         table = edge_rate_curve(10, 2, EX1)
-        with pytest.raises(ValueError, match="fluid must have shape"):
-            kernel.batch(10, table, [np.random.PCG64(1)], 1.0, 0.0, np.zeros((10, 3)))
-        with pytest.raises(ValueError, match="batch of one"):
-            kernel.batch(10, table, [np.random.PCG64(1)] * 2, 1.0, 0.0,
-                         trajectory=np.zeros((11, 3), dtype=np.int64))
+        for batch in (kernel.batch, chain._batch):
+            with pytest.raises(ValueError, match="fluid must have shape"):
+                batch(10, table, [np.random.PCG64(1)], 1.0, 0.0, np.zeros((10, 3)))
+            with pytest.raises(ValueError, match="batch of one"):
+                batch(10, table, [np.random.PCG64(1)] * 2, 1.0, 0.0,
+                      trajectory=np.zeros((11, 3), dtype=np.int64))
+            with pytest.raises(ValueError, match="at least n values"):
+                batch(10, table[:9], [np.random.PCG64(1)], 1.0, 0.0)
 
     def test_bit_generator_address(self, kernel):
         for bit_generator in (np.random.PCG64(1), np.random.MT19937(1)):
@@ -429,11 +453,28 @@ class TestKernel:
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "collapsed differently from the Python loop" in caplog.text
 
+    def test_batch_that_draws_differently_is_refused(self, kernel, monkeypatch, caplog):
+        reference = chain._batch
+
+        def drifted(n, rates, bit_generators, *args):
+            np.random.Generator(bit_generators[0]).integers(2)
+            return reference(n, rates, bit_generators, *args)
+
+        monkeypatch.setattr(chain, "_batch", drifted)
+        chain_kernel.load.cache_clear()
+        try:
+            with caplog.at_level("WARNING", logger="hypercollapse.chain_kernel"):
+                assert chain_kernel.load() is None
+        finally:
+            chain_kernel.load.cache_clear()
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "drew differently from the Python loop" in caplog.text
+
     def test_kernel_in_use_where_a_compiler_is(self, monkeypatch):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on PATH")
         assert chain_kernel.load() is not None
-        monkeypatch.setattr(chain, "_steps", None)
+        monkeypatch.setattr(chain, "_batch", None)
         assert run(200, EX1, np.random.default_rng(1)).removed > 0
 
     def test_failed_build_falls_back_to_reference(self, kernel, fresh_loader, monkeypatch):

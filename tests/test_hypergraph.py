@@ -6,8 +6,8 @@ import pytest
 from hypercollapse import (BetaSeries, Hypergraph, chain_kernel, collapse_all, hypergraph,
                            identifiable_set, read_hypergraph, remove_vertex,
                            sample_poisson, write_hypergraph)
-from helpers import (edges_inside, peeling_fixpoint, per_edge_poisson_sample, plain,
-                     random_hypergraph)
+from helpers import (OverriddenGenerator, edges_inside, peeling_fixpoint,
+                     per_edge_poisson_sample, plain, random_hypergraph)
 
 
 def assert_both_loops_collapse_alike(h, make_rng):
@@ -199,6 +199,21 @@ class TestCollapseAll:
         monkeypatch.setattr(Hypergraph, "instances", None)
         with pytest.raises(TypeError, match="must be a numpy.random.Generator"):
             collapse_all(Hypergraph(2, [(0,), (0, 1)]), rng)
+
+    def test_a_generator_subclass_draws_as_its_base_class(self):
+        # on both loops: the subclass's own integers is not called
+        h = sample_poisson(300, BetaSeries((0.1, 0.8, 0.6)), np.random.default_rng(3))
+        for load in (chain_kernel.load, lambda: None):
+            got_rng = OverriddenGenerator(np.random.PCG64(5))
+            want_rng = np.random.Generator(np.random.PCG64(5))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(chain_kernel, "load", load)
+                got, want = (collapse_all(h, rng, record_trajectory=True)
+                             for rng in (got_rng, want_rng))
+            assert len(want.identified) > 1
+            assert got.identified == want.identified
+            assert np.array_equal(got.trajectory, want.trajectory)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_forced_two_step_sequence(self):
         h = Hypergraph(2, [(0,), (0, 1)])

@@ -73,7 +73,7 @@ def test_worker_count_changes_nothing(series, n_values, replicas, seed, delta):
        workers=st.integers(1, 3))
 def test_batch_kernel_matches_the_python_loop(series, n_values, replicas, seed, delta,
                                               workers):
-    # where no kernel loads, both runs take the Python loop of _replica_batch
+    # where no kernel loads, both runs take chain._batch, the Python loop
     config = ExperimentConfig(series, n_values, replicas, seed, delta=delta,
                               workers=workers)
     outcomes = []

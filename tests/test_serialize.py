@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -49,6 +50,18 @@ class TestWriters:
         with pytest.raises(ValueError):
             write_json({"ok": 1.0, "bad": [float("nan")]}, str(path))
         assert not path.exists()
+
+    def test_makes_a_directory_only_when_it_is_missing(self, tmp_path, monkeypatch):
+        write_json({"a": 1}, str(tmp_path / "new" / "sub" / "t.json"))
+        assert (tmp_path / "new" / "sub" / "t.json").read_text() == '{\n  "a": 1\n}\n'
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("os.makedirs called for an existing directory")
+
+        monkeypatch.setattr(os, "makedirs", refuse)
+        write_csv(str(tmp_path / "t.csv"), ("a",), [(1,)])
+        write_json({"a": 1}, str(tmp_path / "new" / "t.json"))
+        assert (tmp_path / "t.csv").read_text() == "a\n1\n"
 
     def test_json_rejects_unknown_types(self):
         with pytest.raises(TypeError):
