@@ -65,8 +65,11 @@ class ChainRun:
 def _steps(n: int, rates: np.ndarray, rng: np.random.Generator, mean_patches: float,
            mean_debris: float, record_trajectory: bool):
     """Draw patches ~ Poisson(mean_patches), then debris ~ Poisson(mean_debris),
-    and step to absorption: (removed, debris, trajectory).  The reference
-    loop of one replica, as `chain_kernel.c` draws it."""
+    and step to absorption: (removed, debris, trajectory).
+
+    The reference loop.  `chain_kernel.c` runs the same replica with the
+    same draws; tests and the kernel's load-time check compare the two.
+    """
     patches = int(rng.poisson(mean_patches))
     debris = int(rng.poisson(mean_debris))
     rates = rates.tolist()
@@ -88,8 +91,10 @@ def _steps(n: int, rates: np.ndarray, rng: np.random.Generator, mean_patches: fl
 
 def _deviation(n: int, trajectory: np.ndarray, fluid: np.ndarray) -> float:
     """Largest distance in patches or debris of a trajectory on n vertices
-    from the fluid path `fluid` at t = k/n, row k of each at removed = k:
-    the reference of the deviations that `chain_kernel.c` takes."""
+    from the fluid path `fluid` at t = k/n, row k of each at removed = k.
+
+    The reference of the deviations that `chain_kernel.c` takes.
+    """
     return float(np.abs(trajectory[:, 1:] / n - fluid[:len(trajectory), 1:]).max())
 
 
@@ -142,9 +147,9 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     Starts with patches ~ Poisson(N*b1) and debris ~ Poisson(N*b0), steps
     until no patches remain.  Absorption happens by removed = N at the
     latest: with one vertex left every remaining patch sits on it.  The run
-    is a batch of one on `rng.bit_generator`, under its lock: in the
-    compiled loop of `chain_kernel` when it loads, else in `_batch`, with
-    the same draws and results.  `rng` must be a `numpy.random.Generator`
+    is a batch of one on `rng.bit_generator`: in the compiled loop of
+    `chain_kernel` when it loads, else in `_batch`, with the same draws and
+    results.  `rng` must be a `numpy.random.Generator`
     (TypeError otherwise); a subclass draws as the base class.
     """
     from . import chain_kernel
@@ -160,9 +165,8 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     rates = np.ascontiguousarray(rate_table, dtype=np.float64)
     kernel = chain_kernel.load()
     trajectory = np.empty((N + 1, 3), dtype=np.int64) if record_trajectory else None
-    with rng.bit_generator.lock:
-        counts, _ = (_batch if kernel is None else kernel.batch)(
-            N, rates, [rng.bit_generator], N * series.coeff(1), N * series.coeff(0),
-            trajectory=trajectory)
+    counts, _ = (_batch if kernel is None else kernel.batch)(
+        N, rates, [rng.bit_generator], N * series.coeff(1), N * series.coeff(0),
+        trajectory=trajectory)
     removed, debris = counts[0].tolist()
     return ChainRun(removed, debris, None if trajectory is None else trajectory[:removed + 1])

@@ -81,8 +81,8 @@ def _bitgen(bit_generator: np.random.BitGenerator) -> int:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A loaded library: `batch` is a drop-in for `chain._batch`, and
-    `collapse` for `hypergraph._collapse_steps`."""
+    """A loaded library; `batch` is a drop-in for `chain._batch`, and
+    `collapse` is a drop-in for `hypergraph._collapse_steps`."""
 
     path: str
     _batch: ctypes._CFuncPtr = field(repr=False, compare=False)
@@ -93,36 +93,41 @@ class Kernel:
               mean_patches: float, mean_debris: float,
               fluid: Optional[np.ndarray] = None,
               trajectory: Optional[np.ndarray] = None):
-        """`chain._batch` in one call, with the same draws; the caller holds
-        the generators' locks or owns them alone."""
+        """`chain._batch` in one call, with the same draws, under the lock of
+        each bit generator."""
         m = len(bit_generators)
         fluid = _batch_arguments(n, rates, m, fluid, trajectory)
         counts = np.empty((m, 2), dtype=np.int64)
         deviations = None if fluid is None else np.empty(m)
-        status = self._batch(n, rates.ctypes.data, _LAM_MAX, m,
-                             (ctypes.c_void_p * m)(*map(_bitgen, bit_generators)),
-                             mean_patches, mean_debris,
-                             None if fluid is None else fluid.ctypes.data,
-                             counts.ctypes.data,
-                             None if deviations is None else deviations.ctypes.data,
-                             None if trajectory is None else trajectory.ctypes.data)
+        with contextlib.ExitStack() as locks:
+            # each lock once: a generator may come twice, and locks do not nest
+            for lock in dict.fromkeys(g.lock for g in bit_generators):
+                locks.enter_context(lock)
+            status = self._batch(n, rates.ctypes.data, _LAM_MAX, m,
+                                 (ctypes.c_void_p * m)(*map(_bitgen, bit_generators)),
+                                 mean_patches, mean_debris,
+                                 None if fluid is None else fluid.ctypes.data,
+                                 counts.ctypes.data,
+                                 None if deviations is None else deviations.ctypes.data,
+                                 None if trajectory is None else trajectory.ctypes.data)
         if status:
             _raise(status)
         return counts, deviations
 
     def collapse(self, n: int, sizes: np.ndarray, ids: np.ndarray,
-                 rng: Optional[np.random.Generator], record_trajectory: bool):
-        """`hypergraph._collapse_steps` on a `Hypergraph`'s C-contiguous int64 arrays."""
+                 bit_generator: Optional[np.random.BitGenerator], record_trajectory: bool):
+        """`hypergraph._collapse_steps` on a `Hypergraph`'s C-contiguous int64
+        arrays, under the bit generator's lock."""
         if not all(isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == 1
                    and a.flags.c_contiguous for a in (sizes, ids)):
             raise TypeError("sizes and ids must be C-contiguous one-dimensional int64 arrays")
         # ctypes passes bytes and its arrays by address, cheaper than `ndarray.ctypes`
         identified = (ctypes.c_int64 * n)()
         trajectory = np.empty((n + 1, 3), dtype=np.int64) if record_trajectory else None
-        bitgen = None if rng is None else rng.bit_generator
-        with contextlib.nullcontext() if bitgen is None else bitgen.lock:
+        with contextlib.nullcontext() if bit_generator is None else bit_generator.lock:
             removed = self._collapse(n, len(sizes), sizes.tobytes(), len(ids), ids.tobytes(),
-                                     None if bitgen is None else _bitgen(bitgen), identified,
+                                     None if bit_generator is None else _bitgen(bit_generator),
+                                     identified,
                                      None if trajectory is None else trajectory.ctypes.data)
         if removed < 0:
             _raise(-removed)
@@ -238,11 +243,11 @@ def _self_check(kernel: Kernel) -> None:
     # three patches on vertex 0 leave two stale entries; 6 and 7 stay
     edges = [(), (0,), (0,), (0,), (1,), (0, 2), (2, 3), (4, 5), (6, 7), (1, 3, 4), (5, 6, 7)]
     sizes, ids = _flat(edges)
-    got_rng, want_rng = (np.random.Generator(np.random.PCG64(20_011)) for _ in "ab")
-    got = kernel.collapse(8, sizes, ids, got_rng, True)
-    want = _collapse_steps(8, sizes, ids, want_rng, True)
+    got_bitgen, want_bitgen = np.random.PCG64(20_011), np.random.PCG64(20_011)
+    got = kernel.collapse(8, sizes, ids, got_bitgen, True)
+    want = _collapse_steps(8, sizes, ids, want_bitgen, True)
     if (got[0] != want[0] or not np.array_equal(got[1], want[1])
-            or got_rng.bit_generator.state != want_rng.bit_generator.state):
+            or got_bitgen.state != want_bitgen.state):
         raise _SelfCheckError(f"{kernel.path} collapsed differently from the Python loop")
     # the fixed pick (no generator) removes 1, 0, 2, 3, 4, 5, then meets two stale entries
     if kernel.collapse(8, sizes, ids, None, False)[0] != _collapse_steps(8, sizes, ids,

@@ -277,26 +277,28 @@ def collapse_all(h: Hypergraph, rng: np.random.Generator,
 
     kernel = chain_kernel.load()
     steps = _collapse_steps if kernel is None else kernel.collapse
-    identified, trajectory = steps(h.n_vertices, h.sizes, h.ids,
-                                   np.random.Generator(rng.bit_generator), record_trajectory)
+    identified, trajectory = steps(h.n_vertices, h.sizes, h.ids, rng.bit_generator,
+                                   record_trajectory)
     stable = _without(h, identified)
     return CollapseOutcome(identified, stable, stable.stats().debris - h.stats().debris,
                            trajectory)
 
 
 def _collapse_steps(n: int, sizes: np.ndarray, ids: np.ndarray,
-                    rng: Optional[np.random.Generator], record_trajectory: bool):
+                    bit_generator: Optional[np.random.BitGenerator], record_trajectory: bool):
     """The patch loop of `collapse_all` and `identifiable_set`:
     (identified, trajectory).
 
     Edge e holds `sizes[e]` ids of `ids`, after those of the edges before
     it.  An edge keeps only its remaining size and the XOR of its
     remaining ids, which is its vertex once one is left.  Each step picks
-    a bag entry: `rng.integers(len(bag))`, or the last entry when `rng` is
-    None, with no draw.  The reference loop: `chain_kernel.c` runs the
+    a bag entry: `rng.integers(len(bag))` with `rng` a `Generator` on
+    `bit_generator`, or the last entry when `bit_generator` is None, with
+    no draw.  The reference loop: `chain_kernel.c` runs the
     same loop with the same picks and draws; tests and the kernel's
     load-time check compare the two.
     """
+    rng = None if bit_generator is None else np.random.Generator(bit_generator)
     left = sizes.tolist()
     incidence: list[list[int]] = [[] for _ in range(n)]
     xor = [0] * len(left)

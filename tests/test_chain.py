@@ -417,6 +417,23 @@ class TestKernel:
             with pytest.raises(ValueError, match="at least n values"):
                 batch(10, table[:9], [np.random.PCG64(1)], 1.0, 0.0)
 
+    def test_batch_holds_each_bit_generator_lock_once(self, kernel):
+        # the same generator twice must not wait on its own lock
+        n = 50
+        table = edge_rate_curve(n, 2, EX1)
+        bit_generator = np.random.PCG64(3)
+        want = chain._batch(n, table, [np.random.PCG64(3)] * 2, n * EX1.coeff(1), 0.0)
+        got = []
+        with bit_generator.lock:
+            thread = threading.Thread(target=lambda: got.append(kernel.batch(
+                n, table, [bit_generator] * 2, n * EX1.coeff(1), 0.0)))
+            thread.start()
+            thread.join(0.2)
+            assert thread.is_alive() and not got
+        thread.join(30)
+        assert not thread.is_alive()
+        assert np.array_equal(got[0][0], want[0])
+
     def test_bit_generator_address(self, kernel):
         for bit_generator in (np.random.PCG64(1), np.random.MT19937(1)):
             assert (chain_kernel._bitgen(bit_generator)
@@ -428,20 +445,20 @@ class TestKernel:
         for sizes, ids in (([1, 2], [0, 1]), ([1, -1], [0]), ([2], [0, 6]), ([2], [-1, 0])):
             with pytest.raises(ValueError, match="edge sizes do not match"):
                 kernel.collapse(6, np.array(sizes, dtype=np.int64), np.array(ids, dtype=np.int64),
-                                rng, False)
+                                rng.bit_generator, False)
         one = np.array([1], dtype=np.int64)
         for sizes, ids in ((one.astype(np.int32), one), (one, [0]), (one, one.reshape(1, 1)),
                            (one, np.arange(4, dtype=np.int64)[::2])):
             with pytest.raises(TypeError, match="C-contiguous one-dimensional int64"):
-                kernel.collapse(6, sizes, ids, rng, False)
+                kernel.collapse(6, sizes, ids, rng.bit_generator, False)
         assert plain(rng.bit_generator.state) == state
 
     def test_collapse_that_draws_differently_is_refused(self, kernel, monkeypatch, caplog):
         reference = hypergraph._collapse_steps
 
-        def drifted(n, sizes, ids, rng, record_trajectory):
-            rng.integers(2)
-            return reference(n, sizes, ids, rng, record_trajectory)
+        def drifted(n, sizes, ids, bit_generator, record_trajectory):
+            np.random.Generator(bit_generator).integers(2)
+            return reference(n, sizes, ids, bit_generator, record_trajectory)
 
         monkeypatch.setattr(hypergraph, "_collapse_steps", drifted)
         chain_kernel.load.cache_clear()
