@@ -149,8 +149,8 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     latest: with one vertex left every remaining patch sits on it.  The run
     is a batch of one on `rng.bit_generator`: in the compiled loop of
     `chain_kernel` when it loads, else in `_batch`, with the same draws and
-    results.  `rng` must be a `numpy.random.Generator`
-    (TypeError otherwise); a subclass draws as the base class.
+    results.  `rng` must be a `numpy.random.Generator` (TypeError
+    otherwise); a subclass draws as the base class.
     """
     from . import chain_kernel
 

@@ -100,7 +100,7 @@ class Kernel:
         counts = np.empty((m, 2), dtype=np.int64)
         deviations = None if fluid is None else np.empty(m)
         with contextlib.ExitStack() as locks:
-            # each lock once: a generator may come twice, and locks do not nest
+            # each lock once: a generator may come twice, and its lock need not nest
             for lock in dict.fromkeys(g.lock for g in bit_generators):
                 locks.enter_context(lock)
             status = self._batch(n, rates.ctypes.data, _LAM_MAX, m,

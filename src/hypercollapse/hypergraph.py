@@ -294,9 +294,9 @@ def _collapse_steps(n: int, sizes: np.ndarray, ids: np.ndarray,
     remaining ids, which is its vertex once one is left.  Each step picks
     a bag entry: `rng.integers(len(bag))` with `rng` a `Generator` on
     `bit_generator`, or the last entry when `bit_generator` is None, with
-    no draw.  The reference loop: `chain_kernel.c` runs the
-    same loop with the same picks and draws; tests and the kernel's
-    load-time check compare the two.
+    no draw.  The reference loop: `chain_kernel.c` runs the same loop with
+    the same picks and draws; tests and the kernel's load-time check
+    compare the two.
     """
     rng = None if bit_generator is None else np.random.Generator(bit_generator)
     left = sizes.tolist()
