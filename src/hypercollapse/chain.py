@@ -98,9 +98,26 @@ def _deviation(n: int, trajectory: np.ndarray, fluid: np.ndarray) -> float:
     return float(np.abs(trajectory[:, 1:] / n - fluid[:len(trajectory), 1:]).max())
 
 
-def _batch_arguments(n: int, rates: np.ndarray, m: int, fluid: Optional[np.ndarray],
-                     trajectory: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """Check a batch's arguments; `fluid` as C-contiguous float64, or None."""
+def _seeds(words: np.ndarray) -> list[int]:
+    """The 128-bit seeds of a (2, m) uint64 array of low and high words."""
+    low, high = words.tolist()
+    return [(h << 64) | l for l, h in zip(low, high)]
+
+
+def _batch_arguments(n: int, rates: np.ndarray,
+                     bit_generators: Optional[Sequence[np.random.BitGenerator]],
+                     seeds: Optional[np.ndarray], fluid: Optional[np.ndarray],
+                     trajectory: Optional[np.ndarray]):
+    """Check a batch's arguments: (replica count, `seeds` as C-contiguous
+    uint64 or None, `fluid` as C-contiguous float64 or None)."""
+    if (bit_generators is None) == (seeds is None):
+        raise TypeError("a batch takes bit_generators or seeds, not both or neither")
+    if seeds is not None:
+        if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64
+                and seeds.ndim == 2 and len(seeds) == 2):
+            raise ValueError("seeds must be a (2, m) uint64 array: low words, then high words")
+        seeds = np.ascontiguousarray(seeds)
+    m = len(bit_generators) if seeds is None else seeds.shape[1]
     if (rates.dtype != np.float64 or rates.ndim != 1 or len(rates) < n
             or not rates.flags.c_contiguous):
         raise ValueError("rates must be a C-contiguous float64 array of at least n values")
@@ -112,21 +129,28 @@ def _batch_arguments(n: int, rates: np.ndarray, m: int, fluid: Optional[np.ndarr
         fluid = np.ascontiguousarray(fluid, dtype=np.float64)
         if fluid.shape != (n + 1, 3):
             raise ValueError(f"fluid must have shape {(n + 1, 3)}, got {fluid.shape}")
-    return fluid
+    return m, seeds, fluid
 
 
-def _batch(n: int, rates: np.ndarray, bit_generators: Sequence[np.random.BitGenerator],
+def _batch(n: int, rates: np.ndarray,
+           bit_generators: Optional[Sequence[np.random.BitGenerator]],
            mean_patches: float, mean_debris: float,
-           fluid: Optional[np.ndarray] = None, trajectory: Optional[np.ndarray] = None):
+           fluid: Optional[np.ndarray] = None, trajectory: Optional[np.ndarray] = None,
+           *, seeds: Optional[np.ndarray] = None):
     """The Python reference of `chain_kernel.Kernel.batch`, with the same
     arguments, results and errors: one `_steps` replica per bit generator,
-    in order.  Returns (counts, deviations): int64 rows (removed, debris),
-    and each replica's `_deviation` from `fluid`, the fluid path at t = k/n
-    in row k = 0..n, or None without `fluid`.  `trajectory`, for a batch of
-    one, is an (n + 1, 3) int64 array that receives the rows."""
-    fluid = _batch_arguments(n, rates, len(bit_generators), fluid, trajectory)
-    counts = np.empty((len(bit_generators), 2), dtype=np.int64)
-    deviations = None if fluid is None else np.empty(len(bit_generators))
+    in order.  In place of the bit generators (None), `seeds` may give a
+    (2, m) uint64 array of 128-bit seeds, the low words, then the high
+    words: replica r then draws from `np.random.PCG64(seeds[1, r] << 64 |
+    seeds[0, r])`.  Returns (counts, deviations): int64 rows (removed,
+    debris), and each replica's `_deviation` from `fluid`, the fluid path at
+    t = k/n in row k = 0..n, or None without `fluid`.  `trajectory`, for a
+    batch of one, is an (n + 1, 3) int64 array that receives the rows."""
+    m, seeds, fluid = _batch_arguments(n, rates, bit_generators, seeds, fluid, trajectory)
+    if seeds is not None:
+        bit_generators = [np.random.PCG64(seed) for seed in _seeds(seeds)]
+    counts = np.empty((m, 2), dtype=np.int64)
+    deviations = None if fluid is None else np.empty(m)
     for r, bit_generator in enumerate(bit_generators):
         removed, debris, rows = _steps(n, rates, np.random.Generator(bit_generator),
                                        mean_patches, mean_debris,
@@ -169,4 +193,6 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
         N, rates, [rng.bit_generator], N * series.coeff(1), N * series.coeff(0),
         trajectory=trajectory)
     removed, debris = counts[0].tolist()
-    return ChainRun(removed, debris, None if trajectory is None else trajectory[:removed + 1])
+    # a copy, so that a short run does not keep the N + 1 rows alive
+    return ChainRun(removed, debris,
+                    None if trajectory is None else trajectory[:removed + 1].copy())

@@ -4,19 +4,25 @@
  * exact collapse (hypergraph.collapse_all, and with a fixed pick
  * hypergraph.identifiable_set).
  *
- * Each draws with numpy's own routines on the Generator's bitgen_t:
- * random_binomial and random_poisson, which Generator.binomial and
- * Generator.poisson call, and random_bounded_uint64_fill, which
- * Generator.integers calls.  The draws come in the same order and with the
- * same arguments as in the Python loops of chain.py and hypergraph.py, so
- * both consume the same stream.  Linked against
- * numpy/random/lib/libnpyrandom.a; chain_kernel.py builds and loads it.
+ * Each draws with numpy's own routines on a bitgen_t: random_binomial and
+ * random_poisson, which Generator.binomial and Generator.poisson call, and
+ * random_bounded_uint64_fill, which Generator.integers calls.  The bitgen_t
+ * is a Generator's own, or, for a chain replica given by its seed, a PCG64
+ * on the C stack seeded as np.random.PCG64(seed) seeds it.  The draws come
+ * in the same order and with the same arguments as in the Python loops of
+ * chain.py and hypergraph.py, so both consume the same stream.  Linked
+ * against numpy/random/lib/libnpyrandom.a; chain_kernel.py builds and loads
+ * it.
  */
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#ifndef __SIZEOF_INT128__
+#error "the seeded PCG64 needs a 128-bit integer type"
+#endif
 
 /* numpy/random/bitgen.h */
 typedef struct bitgen {
@@ -26,6 +32,105 @@ typedef struct bitgen {
     double (*next_double)(void *st);
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
+
+/* numpy's PCG64: a 128-bit LCG with the XSL-RR output, and its buffer of
+ * the high half of a 64-bit draw for the next 32-bit one. */
+typedef unsigned __int128 u128;
+typedef struct {
+    u128 state, inc;
+    bool has_uint32;
+    uint32_t uinteger;
+} pcg64_t;
+
+static const u128 PCG_MULTIPLIER =
+    (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
+
+static uint64_t pcg64_next64(void *st)
+{
+    pcg64_t *pcg = st;
+    pcg->state = pcg->state * PCG_MULTIPLIER + pcg->inc;
+    uint64_t x = (uint64_t)(pcg->state >> 64) ^ (uint64_t)pcg->state;
+    unsigned rot = (unsigned)(pcg->state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+static uint32_t pcg64_next32(void *st)
+{
+    pcg64_t *pcg = st;
+    if (pcg->has_uint32) {
+        pcg->has_uint32 = false;
+        return pcg->uinteger;
+    }
+    uint64_t next = pcg64_next64(pcg);
+    pcg->has_uint32 = true;
+    pcg->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st)
+{
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's SeedSequence hash of its entropy words */
+enum { POOL = 4, XSHIFT = 16 };
+static const uint32_t INIT_A = 0x43b0d7e5, MULT_A = 0x931e8875,
+                      INIT_B = 0x8b51f9dd, MULT_B = 0x58f38ded,
+                      MIX_MULT_L = 0xca01f9dd, MIX_MULT_R = 0x4973f715;
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ value >> XSHIFT;
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ result >> XSHIFT;
+}
+
+/* Seed pcg as np.random.PCG64(seed) does, for a seed below 2**128, and
+ * return its bitgen_t.  SeedSequence(seed) takes the seed's 32-bit words,
+ * least significant first, as its entropy (one to four of them) and
+ * hashes each into its pool of four, a zero where the entropy runs out:
+ * so the seed's four words, zeros above its top word included, give the
+ * same pool.  generate_state(4, uint64) hashes the pool, cycled, into
+ * eight 32-bit words, paired little-endian into four 64-bit words; PCG64
+ * takes its state from the first two and its increment from the last two,
+ * the first of each pair the high half. */
+static bitgen_t *pcg64_seed(bitgen_t *bitgen, pcg64_t *pcg, u128 seed)
+{
+    uint32_t pool[POOL], hash_const = INIT_A;
+    uint64_t words[4] = {0};
+
+    for (int i = 0; i < POOL; i++)
+        pool[i] = hashmix((uint32_t)(seed >> 32 * i), &hash_const);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
+    hash_const = INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t value = pool[i % POOL] ^ hash_const;
+        hash_const *= MULT_B;
+        value *= hash_const;
+        value ^= value >> XSHIFT;
+        words[i / 2] |= (uint64_t)value << 32 * (i % 2);
+    }
+    pcg->state = 0;
+    pcg->inc = ((u128)words[2] << 64 | words[3]) << 1 | 1;
+    pcg64_next64(pcg);
+    pcg->state += (u128)words[0] << 64 | words[1];
+    pcg64_next64(pcg);
+    pcg->has_uint32 = false;
+    pcg->uinteger = 0;
+    *bitgen = (bitgen_t){pcg, pcg64_next64, pcg64_next32, pcg64_next_double,
+                         pcg64_next64};
+    return bitgen;
+}
 
 /* numpy's binomial_t caches set-up values keyed by (n, p); a zeroed block
  * means "nothing cached".  Only numpy reads its fields, so an aligned block
@@ -65,10 +170,13 @@ static double farther(double dev, int64_t count, double n, double fluid)
 }
 
 /* Run count replicas of the chain on n vertices, replica r on the bit
- * generator bitgens[r]: draw patches ~ Poisson(mean_patches), then
- * debris ~ Poisson(mean_debris), and step until no patches remain or
- * removed = n.  rates holds n doubles.  Replica r's removed and final
- * debris go to out[2r] and out[2r + 1].
+ * generator bitgens[r], or, when bitgens is NULL, on a PCG64 seeded as
+ * np.random.PCG64(seeds[count + r] << 64 | seeds[r]): seeds holds the
+ * count low words, then the count high words.  Each replica draws
+ * patches ~ Poisson(mean_patches), then debris ~ Poisson(mean_debris),
+ * and steps until no patches remain or removed = n.  rates holds n
+ * doubles.  Replica r's removed and final debris go to out[2r] and
+ * out[2r + 1].
  *
  * fluid, if not NULL, holds (n + 1) * 3 doubles, row k the fluid path at
  * t = k/n; deviation[r] then receives the largest |patches/n - fluid[k][1]|
@@ -83,15 +191,18 @@ static double farther(double dev, int64_t count, double n, double fluid)
  * int64 range.  The return value says why; the replicas before the failing
  * one are complete, the later ones untouched. */
 int chain_batch(int64_t n, const double *rates, double lam_max,
-                int64_t count, bitgen_t *const *bitgens, double mean_patches,
-                double mean_debris, const double *fluid, int64_t *out,
-                double *deviation, int64_t *trajectory)
+                int64_t count, bitgen_t *const *bitgens, const uint64_t *seeds,
+                double mean_patches, double mean_debris, const double *fluid,
+                int64_t *out, double *deviation, int64_t *trajectory)
 {
     binomial_t binomial;
     double nd = (double)n;
 
     for (int64_t r = 0; r < count; r++) {
-        bitgen_t *bitgen = bitgens[r];
+        bitgen_t seeded;
+        pcg64_t pcg;
+        bitgen_t *bitgen = bitgens ? bitgens[r]
+            : pcg64_seed(&seeded, &pcg, (u128)seeds[count + r] << 64 | seeds[r]);
         int64_t removed = 0, patches, debris;
         double dev = -INFINITY;
         int status = poisson_mean_status(mean_patches, lam_max);

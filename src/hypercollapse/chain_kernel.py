@@ -2,24 +2,29 @@
 
 `chain_kernel.c` holds the reduced chain, run for a whole batch of
 replicas of one vertex count in one call: it draws each replica's initial
-counts, steps it to absorption and takes its distance from the fluid
-path.  `chain.run` is a batch of one; `montecarlo` runs its replica
-batches through it.  The file also holds the patch loop of
+counts, steps it to absorption and takes its distance from the fluid path.
+A batch draws from one bit generator per replica, or from seeds: a (2, m)
+uint64 array of 128-bit seeds, low words then high words, from which the C
+code seeds each replica's PCG64 on its stack as `np.random.PCG64(seed)`
+does, with no Python object per replica and no lock.  `chain.run` is a
+batch of one on its generator's bit generator; `montecarlo` runs its
+replica batches from seeds.  The file also holds the patch loop of
 `hypergraph.collapse_all` and, with a fixed pick, `identifiable_set`, on a
-`Hypergraph`'s two int64 edge arrays.  It is compiled with the system C compiler
-(`cc`) and linked against numpy's `libnpyrandom.a`, so each loop draws
-with the routines `Generator.binomial`, `Generator.poisson` and
-`Generator.integers` use, on the Generator's own bit generator: the random
-stream and every output stay the same.  The library is cached per user in
-`$XDG_CACHE_HOME/hypercollapse` (default `~/.cache/hypercollapse`), keyed
-by the numpy version, the platform and a hash of the source; a build
-deletes the libraries that other sources built for the same numpy, and
-only a build imports `subprocess`.  `load()` returns None, and every
-caller keeps its Python loop, when there is no compiler, the build fails,
-the cache directory is not private to this user, or the loaded library
-does not reproduce the Python loops draw for draw on fixed replica batches
-and a fixed hypergraph.  The reason is logged to the
-`hypercollapse.chain_kernel` logger.
+`Hypergraph`'s two int64 edge arrays.  It is compiled with the system C
+compiler (`cc`) and linked against numpy's `libnpyrandom.a`, so each loop
+draws with the routines `Generator.binomial`, `Generator.poisson` and
+`Generator.integers` use, on the Generator's own bit generator or the
+PCG64 it seeded: the random stream and every output stay the same.  The
+library is cached per user in `$XDG_CACHE_HOME/hypercollapse` (default
+`~/.cache/hypercollapse`), keyed by the numpy version, the platform and a
+hash of the source; a build deletes the libraries that other sources built
+for the same numpy, and only a build imports `subprocess`.  `load()`
+returns None, and every caller keeps its Python loop, when there is no
+compiler, the build fails, the cache directory is not private to this
+user, or the loaded library does not reproduce the Python loops draw for
+draw on fixed replica batches, from bit generators and from seeds, and a
+fixed hypergraph.  The reason is logged to the `hypercollapse.chain_kernel`
+logger.
 """
 
 from __future__ import annotations
@@ -89,27 +94,35 @@ class Kernel:
     _collapse: ctypes._CFuncPtr = field(repr=False, compare=False)
 
     def batch(self, n: int, rates: np.ndarray,
-              bit_generators: Sequence[np.random.BitGenerator],
+              bit_generators: Optional[Sequence[np.random.BitGenerator]],
               mean_patches: float, mean_debris: float,
               fluid: Optional[np.ndarray] = None,
-              trajectory: Optional[np.ndarray] = None):
-        """`chain._batch` in one call, with the same draws, under the lock of
-        each bit generator."""
-        m = len(bit_generators)
-        fluid = _batch_arguments(n, rates, m, fluid, trajectory)
+              trajectory: Optional[np.ndarray] = None,
+              *, seeds: Optional[np.ndarray] = None):
+        """`chain._batch` in one call, with the same draws: under the lock of
+        each bit generator, or, with `seeds` in their place, on a PCG64 per
+        replica that the compiled loop seeds as `np.random.PCG64` does, with
+        no Python object per replica and no lock."""
+        m, seeds, fluid = _batch_arguments(n, rates, bit_generators, seeds, fluid, trajectory)
         counts = np.empty((m, 2), dtype=np.int64)
         deviations = None if fluid is None else np.empty(m)
-        with contextlib.ExitStack() as locks:
-            # each lock once: a generator may come twice, and its lock need not nest
-            for lock in dict.fromkeys(g.lock for g in bit_generators):
-                locks.enter_context(lock)
-            status = self._batch(n, rates.ctypes.data, _LAM_MAX, m,
-                                 (ctypes.c_void_p * m)(*map(_bitgen, bit_generators)),
-                                 mean_patches, mean_debris,
-                                 None if fluid is None else fluid.ctypes.data,
-                                 counts.ctypes.data,
-                                 None if deviations is None else deviations.ctypes.data,
-                                 None if trajectory is None else trajectory.ctypes.data)
+
+        def call(bitgens, seed_words):
+            return self._batch(n, rates.ctypes.data, _LAM_MAX, m, bitgens, seed_words,
+                               mean_patches, mean_debris,
+                               None if fluid is None else fluid.ctypes.data,
+                               counts.ctypes.data,
+                               None if deviations is None else deviations.ctypes.data,
+                               None if trajectory is None else trajectory.ctypes.data)
+
+        if seeds is not None:
+            status = call(None, seeds.ctypes.data)
+        else:
+            with contextlib.ExitStack() as locks:
+                # each lock once: a generator may come twice, and its lock need not nest
+                for lock in dict.fromkeys(g.lock for g in bit_generators):
+                    locks.enter_context(lock)
+                status = call((ctypes.c_void_p * m)(*map(_bitgen, bit_generators)), None)
         if status:
             _raise(status)
         return counts, deviations
@@ -131,7 +144,9 @@ class Kernel:
                                      None if trajectory is None else trajectory.ctypes.data)
         if removed < 0:
             _raise(-removed)
-        return identified[:removed], None if trajectory is None else trajectory[:removed + 1]
+        # a copy, so that a short collapse does not keep the n + 1 rows alive
+        return (identified[:removed],
+                None if trajectory is None else trajectory[:removed + 1].copy())
 
 
 def _cache_dir() -> str:
@@ -216,8 +231,10 @@ def _self_check(kernel: Kernel) -> None:
     step its p = 1 case; the means cross 10, where numpy's Poisson sampler
     switches method.  `Kernel.batch` and `chain._batch` run each mean on
     the same arguments: two replicas without and with a fluid table, and
-    a batch of one with its trajectory, as `chain.run` makes it.  The
-    collapse leaves stale entries in its bag, and its bag falls to one
+    a batch of one with its trajectory, as `chain.run` makes it; then the
+    three from seeds of 1, 2, 3 and 4 32-bit words, which `Kernel.batch`
+    seeds in C and `chain._batch` with `np.random.PCG64`, with few patches.
+    The collapse leaves stale entries in its bag, and its bag falls to one
     entry, where `Generator.integers(1)` draws nothing.  The same collapse
     runs once more with the fixed pick of `identifiable_set`.
     """
@@ -227,19 +244,30 @@ def _self_check(kernel: Kernel) -> None:
     n = 24
     rates = np.linspace(0.2, 2.0, n)
     fluid = np.linspace(0.0, 60.0, 3 * (n + 1)).reshape(n + 1, 3)
-    for means in ((3.0, 0.5), (2000.0, 0.5)):
-        for m, table, rows in ((2, None, False), (2, fluid, False), (1, None, True)):
-            outcomes = []
-            for batch in (kernel.batch, _batch):
-                bit_generators = [np.random.PCG64(20_011 + r) for r in range(m)]
-                trajectory = np.zeros((n + 1, 3), dtype=np.int64) if rows else None
-                counts, deviations = batch(n, rates, bit_generators, *means, table, trajectory)
-                # np.asarray(None).tolist() is None
-                outcomes.append([np.asarray(a).tolist() for a in (counts, deviations, trajectory)]
-                                + [g.state for g in bit_generators])
-            if outcomes[0] != outcomes[1]:
-                raise _SelfCheckError(f"{kernel.path} drew differently from the Python "
-                                      f"loop in a batch with a mean of {means[0]} patches")
+    seeds = [0, 2**32 - 1, 2**64, 2**96 + 5, 2**128 - 1]
+    words = np.array([[s & (2**64 - 1) for s in seeds], [s >> 64 for s in seeds]],
+                     dtype=np.uint64)
+    batches = [(means, m, None, table, rows) for means in ((3.0, 0.5), (2000.0, 0.5))
+               for m, table, rows in ((2, None, False), (2, fluid, False), (1, None, True))]
+    # a seeded PCG64 meets numpy's samplers as any bit generator does, so
+    # one mean checks its seeding
+    batches += [((3.0, 0.5), 0, seed_words, table, rows) for seed_words, table, rows
+                in ((words, None, False), (words, fluid, False), (words[:, -1:], None, True))]
+    for means, m, seed_words, table, rows in batches:
+        outcomes = []
+        for batch in (kernel.batch, _batch):
+            bit_generators = [np.random.PCG64(20_011 + r) for r in range(m)]
+            trajectory = np.zeros((n + 1, 3), dtype=np.int64) if rows else None
+            # a seeded batch (m = 0) takes None for its bit generators
+            counts, deviations = batch(n, rates, bit_generators or None, *means, table,
+                                       trajectory, seeds=seed_words)
+            # np.asarray(None).tolist() is None
+            outcomes.append([np.asarray(a).tolist() for a in (counts, deviations, trajectory)]
+                            + [g.state for g in bit_generators])
+        if outcomes[0] != outcomes[1]:
+            raise _SelfCheckError(
+                f"{kernel.path} drew differently from the Python loop in a batch with a "
+                f"mean of {means[0]} patches{'' if seed_words is None else ' from seeds'}")
     # three patches on vertex 0 leave two stale entries; 6 and 7 stay
     edges = [(), (0,), (0,), (0,), (1,), (0, 2), (2, 3), (4, 5), (6, 7), (1, 3, 4), (5, 6, 7)]
     sizes, ids = _flat(edges)
@@ -268,8 +296,8 @@ def load() -> Optional[Kernel]:
         lib = ctypes.CDLL(path)
         batch, collapse = lib.chain_batch, lib.collapse_steps
         batch.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
-                          ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
         collapse.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                              ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
         batch.restype = ctypes.c_int

@@ -3,7 +3,10 @@
 Every replica draws from its own PCG64 generator seeded by a fixed
 integer-mixing function of (master_seed, n_vertices, replica), so results
 are independent of scheduling and identical for any number of worker
-threads; the compiled step loop runs outside the interpreter lock.
+threads.  The compiled step loop seeds replica r's PCG64 from the same
+128-bit seed by numpy's `PCG64` rule, with the same stream as
+`np.random.PCG64(seed)`, and runs a whole batch outside the interpreter
+lock.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import _batch, edge_rate_curve
+from .chain import _batch, _seeds, edge_rate_curve
 from .fluid import path_grid
 from .series import (BetaSeries, DegenerateModelError, T_CAP, real, resolve_model,
                      whole)
@@ -51,6 +54,15 @@ def _words(component) -> np.ndarray:
     return np.array([index(component) & _MASK64], dtype=np.uint64)
 
 
+def _seed_words(master_seed: int, *key) -> np.ndarray:
+    """`derive_seeds` as a (2, m) uint64 array: the seeds' low words, then
+    their high words."""
+    state = _mix64(_words(index(master_seed)) ^ _SALTS)
+    for column in map(_words, key):
+        state = _mix64(state ^ _mix64(column + _SALTS))
+    return state
+
+
 def derive_seeds(master_seed: int, *key) -> list[int]:
     """`derive_seed` for many key paths at once.
 
@@ -59,11 +71,7 @@ def derive_seeds(master_seed: int, *key) -> list[int]:
     entry.  `derive_seeds(s, n, range(k))` gives `[derive_seed(s, n, r) for
     r in range(k)]`.
     """
-    state = _mix64(_words(index(master_seed)) ^ _SALTS)
-    for column in map(_words, key):
-        state = _mix64(state ^ _mix64(column + _SALTS))
-    lo, hi = state.tolist()
-    return [(h << 64) | l for l, h in zip(lo, hi)]
+    return _seeds(_seed_words(master_seed, *key))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -168,16 +176,18 @@ def _replica_batch(series: BetaSeries, n_vertices: int, table: np.ndarray,
     largest distance in patches or debris from that path over the rows of
     the replica's trajectory; row k of a trajectory has removed = k, so it
     meets row k of the path.  The batch's seeds are derived at once, and
-    the whole batch is one call, to the compiled kernel when it loads, else
-    to its Python reference `chain._batch`, on the same arguments.
+    the whole batch is one call on their words, to the compiled kernel when
+    it loads, which seeds each replica's PCG64 itself, else to its Python
+    reference `chain._batch`, on the same arguments.
     """
     from . import chain_kernel
 
-    seeds = derive_seeds(master_seed, n_vertices, range(lo, hi))
+    words = _seed_words(master_seed, n_vertices, range(lo, hi))
+    seeds = _seeds(words)
     kernel = chain_kernel.load()
     counts, deviations = (_batch if kernel is None else kernel.batch)(
-        n_vertices, table, [np.random.PCG64(seed) for seed in seeds],
-        n_vertices * series.coeff(1), n_vertices * series.coeff(0), fluid)
+        n_vertices, table, None, n_vertices * series.coeff(1),
+        n_vertices * series.coeff(0), fluid, seeds=words)
     runs = zip(*counts.T.tolist(),
                [None] * len(seeds) if deviations is None else deviations.tolist())
     return [ReplicaRecord(n_vertices=n_vertices, replica=replica, seed=seed,

@@ -189,6 +189,15 @@ class TestRun:
                 absorbed += want.removed
         assert absorbed > 0
 
+    def test_a_short_trajectory_owns_its_rows(self):
+        # about one initial patch and no 2-edges on 1e5 vertices: the run
+        # absorbs within a few steps, and its trajectory holds those rows only
+        for result, _ in both_paths(100_000, BetaSeries((0.0, 1e-5)),
+                                      lambda: np.random.default_rng(4)):
+            assert 0 < result.removed < 10
+            assert result.trajectory.base is None
+            assert result.trajectory.shape == (result.removed + 1, 3)
+
     @pytest.mark.parametrize("n_vertices", [100.7, "50", True, math.nan])
     def test_vertex_count_must_be_whole(self, n_vertices):
         with pytest.raises(ValueError, match="n_vertices must be a whole number"):
@@ -417,6 +426,19 @@ class TestKernel:
             with pytest.raises(ValueError, match="at least n values"):
                 batch(10, table[:9], [np.random.PCG64(1)], 1.0, 0.0)
 
+    def test_batch_takes_bit_generators_or_seeds(self, kernel):
+        table = edge_rate_curve(10, 2, EX1)
+        words = np.zeros((2, 1), dtype=np.uint64)
+        for batch in (kernel.batch, chain._batch):
+            with pytest.raises(TypeError, match="bit_generators or seeds"):
+                batch(10, table, [np.random.PCG64(1)], 1.0, 0.0, seeds=words)
+            with pytest.raises(TypeError, match="bit_generators or seeds"):
+                batch(10, table, None, 1.0, 0.0)
+            for bad in (words.astype(np.int64), words[0], np.zeros((3, 1), dtype=np.uint64),
+                        [[0], [0]]):
+                with pytest.raises(ValueError, match=r"seeds must be a \(2, m\) uint64"):
+                    batch(10, table, None, 1.0, 0.0, seeds=bad)
+
     def test_batch_holds_each_bit_generator_lock_once(self, kernel):
         # a lock that does not nest, as some numpy versions give: the same
         # generator twice must not wait on its own lock
@@ -483,9 +505,30 @@ class TestKernel:
     def test_batch_that_draws_differently_is_refused(self, kernel, monkeypatch, caplog):
         reference = chain._batch
 
-        def drifted(n, rates, bit_generators, *args):
+        def drifted(n, rates, bit_generators, *args, **kwargs):
             np.random.Generator(bit_generators[0]).integers(2)
-            return reference(n, rates, bit_generators, *args)
+            return reference(n, rates, bit_generators, *args, **kwargs)
+
+        monkeypatch.setattr(chain, "_batch", drifted)
+        chain_kernel.load.cache_clear()
+        try:
+            with caplog.at_level("WARNING", logger="hypercollapse.chain_kernel"):
+                assert chain_kernel.load() is None
+        finally:
+            chain_kernel.load.cache_clear()
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "drew differently from the Python loop" in caplog.text
+
+    def test_seeded_batch_that_draws_differently_is_refused(self, kernel, monkeypatch,
+                                                             caplog):
+        reference = chain._batch
+
+        def drifted(*args, seeds=None, **kwargs):
+            if seeds is not None:
+                # the low words' last bit: PCG64(seed ^ 1) for each seed
+                seeds = seeds.copy()
+                seeds[0] ^= np.uint64(1)
+            return reference(*args, seeds=seeds, **kwargs)
 
         monkeypatch.setattr(chain, "_batch", drifted)
         chain_kernel.load.cache_clear()

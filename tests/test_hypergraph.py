@@ -239,6 +239,16 @@ class TestCollapseAll:
         assert np.all(np.diff(traj[:, 2]) >= 1)
         assert np.all(np.diff(traj[:, 0]) == 1)
 
+    def test_a_short_trajectory_owns_its_rows(self):
+        # two removals on 1e5 vertices: three rows, not a view of n + 1
+        h = Hypergraph(100_000, [(0,), (0, 1), (2, 3)])
+        for load in (chain_kernel.load, lambda: None):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(chain_kernel, "load", load)
+                out = collapse_all(h, np.random.default_rng(0), record_trajectory=True)
+            assert out.identified == [0, 1]
+            assert out.trajectory.base is None and out.trajectory.shape == (3, 3)
+
     def test_order_independence_and_peeling_fixpoint(self):
         rng = np.random.default_rng(100)
         for _ in range(30):

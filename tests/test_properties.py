@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain_kernel,
-                           collapse_all, hypergraph, identifiable_set, read_hypergraph,
-                           remove_vertex, run_replicas, write_hypergraph)
+from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain, chain_kernel,
+                           collapse_all, edge_rate_curve, hypergraph, identifiable_set,
+                           read_hypergraph, remove_vertex, run_replicas, write_hypergraph)
 from helpers import canonical_instances, peeling_fixpoint, per_line_read
 from test_chain import both_paths
 from test_hypergraph import assert_both_loops_collapse_alike
@@ -100,6 +100,35 @@ def test_kernel_matches_the_python_loop_draw_for_draw(kernel, rest, n, mean_patc
     assert (got.removed, got.debris) == (want.removed, want.debris)
     assert np.array_equal(got.trajectory, want.trajectory)
     assert got_state == want_state
+
+
+# seeds of 1, 2, 3 and 4 32-bit words, the entropy numpy's SeedSequence takes
+EXTREME_SEEDS = [0, 2**32 - 1, 2**64, 2**96 + 5, 2**128 - 1]
+
+
+@PROPERTY
+@given(series=models, n=st.integers(2, 1000), with_fluid=st.booleans(),
+       seeds=st.lists(st.one_of(st.sampled_from(EXTREME_SEEDS), st.integers(0, 2**128 - 1)),
+                      min_size=1, max_size=6))
+def test_seeded_batch_matches_a_pcg64_per_seed(series, n, with_fluid, seeds):
+    # where no kernel loads, both sides run chain._batch, the Python loop
+    kernel = chain_kernel.load()
+    batch = chain._batch if kernel is None else kernel.batch
+    table = edge_rate_curve(n, 2, series)
+    fluid = np.random.default_rng(n).uniform(0.0, 0.3, (n + 1, 3)) if with_fluid else None
+    words = np.array([[s & (2**64 - 1) for s in seeds], [s >> 64 for s in seeds]],
+                     dtype=np.uint64)
+    means = n * series.coeff(1), n * series.coeff(0)
+    got = batch(n, table, None, *means, fluid, seeds=words)
+    want = chain._batch(n, table, [np.random.PCG64(s) for s in seeds], *means, fluid)
+    assert np.array_equal(got[0], want[0])
+    assert (got[1] is None) == (want[1] is None) == (fluid is None)
+    assert fluid is None or np.array_equal(got[1], want[1])
+    rows = [np.zeros((n + 1, 3), dtype=np.int64) for _ in range(2)]
+    got = batch(n, table, None, *means, trajectory=rows[0], seeds=words[:, :1])
+    want = chain._batch(n, table, [np.random.PCG64(seeds[0])], *means, trajectory=rows[1])
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(*rows)
 
 
 def read_text(text):
