@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -105,26 +105,24 @@ def _seeds(words: np.ndarray) -> list[int]:
 
 
 def _batch_arguments(n: int, rates: np.ndarray,
-                     bit_generators: Optional[Sequence[np.random.BitGenerator]],
+                     bit_generator: Optional[np.random.BitGenerator],
                      seeds: Optional[np.ndarray], fluid: Optional[np.ndarray],
-                     trajectory: Optional[np.ndarray]):
+                     record_trajectory: bool):
     """Check a batch's arguments: (replica count, `seeds` as C-contiguous
     uint64 or None, `fluid` as C-contiguous float64 or None)."""
-    if (bit_generators is None) == (seeds is None):
-        raise TypeError("a batch takes bit_generators or seeds, not both or neither")
+    if (bit_generator is None) == (seeds is None):
+        raise TypeError("a batch takes a bit_generator or seeds, not both or neither")
     if seeds is not None:
         if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64
                 and seeds.ndim == 2 and len(seeds) == 2):
             raise ValueError("seeds must be a (2, m) uint64 array: low words, then high words")
         seeds = np.ascontiguousarray(seeds)
-    m = len(bit_generators) if seeds is None else seeds.shape[1]
+    m = 1 if seeds is None else seeds.shape[1]
     if (rates.dtype != np.float64 or rates.ndim != 1 or len(rates) < n
             or not rates.flags.c_contiguous):
         raise ValueError("rates must be a C-contiguous float64 array of at least n values")
-    if trajectory is not None and (m != 1 or trajectory.shape != (n + 1, 3)
-                                   or trajectory.dtype != np.int64
-                                   or not trajectory.flags.c_contiguous):
-        raise ValueError("a trajectory needs a batch of one and an (n + 1, 3) int64 array")
+    if record_trajectory and m != 1:
+        raise ValueError("a trajectory needs a batch of one")
     if fluid is not None:
         fluid = np.ascontiguousarray(fluid, dtype=np.float64)
         if fluid.shape != (n + 1, 3):
@@ -132,35 +130,33 @@ def _batch_arguments(n: int, rates: np.ndarray,
     return m, seeds, fluid
 
 
-def _batch(n: int, rates: np.ndarray,
-           bit_generators: Optional[Sequence[np.random.BitGenerator]],
+def _batch(n: int, rates: np.ndarray, bit_generator: Optional[np.random.BitGenerator],
            mean_patches: float, mean_debris: float,
-           fluid: Optional[np.ndarray] = None, trajectory: Optional[np.ndarray] = None,
+           fluid: Optional[np.ndarray] = None, record_trajectory: bool = False,
            *, seeds: Optional[np.ndarray] = None):
     """The Python reference of `chain_kernel.Kernel.batch`, with the same
-    arguments, results and errors: one `_steps` replica per bit generator,
-    in order.  In place of the bit generators (None), `seeds` may give a
-    (2, m) uint64 array of 128-bit seeds, the low words, then the high
-    words: replica r then draws from `np.random.PCG64(seeds[1, r] << 64 |
-    seeds[0, r])`.  Returns (counts, deviations): int64 rows (removed,
-    debris), and each replica's `_deviation` from `fluid`, the fluid path at
-    t = k/n in row k = 0..n, or None without `fluid`.  `trajectory`, for a
-    batch of one, is an (n + 1, 3) int64 array that receives the rows."""
-    m, seeds, fluid = _batch_arguments(n, rates, bit_generators, seeds, fluid, trajectory)
-    if seeds is not None:
-        bit_generators = [np.random.PCG64(seed) for seed in _seeds(seeds)]
+    arguments, results and errors: one `_steps` replica on `bit_generator`,
+    or, in its place (None), one per seed of `seeds`, a (2, m) uint64 array
+    of 128-bit seeds, the low words, then the high words: replica r then
+    draws from `np.random.PCG64(seeds[1, r] << 64 | seeds[0, r])`.  Returns
+    (counts, deviations, trajectory): int64 rows (removed, debris); each
+    replica's `_deviation` from `fluid`, the fluid path at t = k/n in row
+    k = 0..n, or None without `fluid`; and, with `record_trajectory`, which
+    needs a batch of one, its int64 rows (removed, patches, debris) before
+    the first step and after each, else None."""
+    m, seeds, fluid = _batch_arguments(n, rates, bit_generator, seeds, fluid,
+                                       record_trajectory)
     counts = np.empty((m, 2), dtype=np.int64)
     deviations = None if fluid is None else np.empty(m)
-    for r, bit_generator in enumerate(bit_generators):
-        removed, debris, rows = _steps(n, rates, np.random.Generator(bit_generator),
+    for r, source in enumerate([bit_generator] if seeds is None
+                               else map(np.random.PCG64, _seeds(seeds))):
+        removed, debris, rows = _steps(n, rates, np.random.Generator(source),
                                        mean_patches, mean_debris,
-                                       fluid is not None or trajectory is not None)
+                                       fluid is not None or record_trajectory)
         counts[r] = removed, debris
         if fluid is not None:
             deviations[r] = _deviation(n, rows, fluid)
-        if trajectory is not None:
-            trajectory[:len(rows)] = rows
-    return counts, deviations
+    return counts, deviations, rows if record_trajectory else None
 
 
 def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
@@ -188,11 +184,8 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
         rate_table = edge_rate_curve(N, 2, series) if N > 1 else np.zeros(1)
     rates = np.ascontiguousarray(rate_table, dtype=np.float64)
     kernel = chain_kernel.load()
-    trajectory = np.empty((N + 1, 3), dtype=np.int64) if record_trajectory else None
-    counts, _ = (_batch if kernel is None else kernel.batch)(
-        N, rates, [rng.bit_generator], N * series.coeff(1), N * series.coeff(0),
-        trajectory=trajectory)
+    counts, _, trajectory = (_batch if kernel is None else kernel.batch)(
+        N, rates, rng.bit_generator, N * series.coeff(1), N * series.coeff(0),
+        record_trajectory=record_trajectory)
     removed, debris = counts[0].tolist()
-    # a copy, so that a short run does not keep the N + 1 rows alive
-    return ChainRun(removed, debris,
-                    None if trajectory is None else trajectory[:removed + 1].copy())
+    return ChainRun(removed, debris, trajectory)

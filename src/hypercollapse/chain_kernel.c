@@ -169,14 +169,14 @@ static double farther(double dev, int64_t count, double n, double fluid)
     return d > dev || d != d ? d : dev;
 }
 
-/* Run count replicas of the chain on n vertices, replica r on the bit
- * generator bitgens[r], or, when bitgens is NULL, on a PCG64 seeded as
- * np.random.PCG64(seeds[count + r] << 64 | seeds[r]): seeds holds the
- * count low words, then the count high words.  Each replica draws
- * patches ~ Poisson(mean_patches), then debris ~ Poisson(mean_debris),
- * and steps until no patches remain or removed = n.  rates holds n
- * doubles.  Replica r's removed and final debris go to out[2r] and
- * out[2r + 1].
+/* Run count replicas of the chain on n vertices: when seeds is not NULL,
+ * replica r on a PCG64 seeded as np.random.PCG64(seeds[count + r] << 64 |
+ * seeds[r]), where seeds holds the count low words, then the count high
+ * words; else one replica (count is then 1) on the bit generator bitgen.
+ * Each replica draws patches ~ Poisson(mean_patches), then debris ~
+ * Poisson(mean_debris), and steps until no patches remain or removed = n.
+ * rates holds n doubles.  Replica r's removed and final debris go to
+ * out[2r] and out[2r + 1].
  *
  * fluid, if not NULL, holds (n + 1) * 3 doubles, row k the fluid path at
  * t = k/n; deviation[r] then receives the largest |patches/n - fluid[k][1]|
@@ -189,20 +189,21 @@ static double farther(double dev, int64_t count, double n, double fluid)
  * lam_max) stops the batch before its draw, in a step after that step's
  * binomial draw, as the Python loop stops; so does a count beyond the
  * int64 range.  The return value says why; the replicas before the failing
- * one are complete, the later ones untouched. */
+ * one are complete, and the later ones do not run. */
 int chain_batch(int64_t n, const double *rates, double lam_max,
-                int64_t count, bitgen_t *const *bitgens, const uint64_t *seeds,
+                int64_t count, bitgen_t *bitgen, const uint64_t *seeds,
                 double mean_patches, double mean_debris, const double *fluid,
                 int64_t *out, double *deviation, int64_t *trajectory)
 {
     binomial_t binomial;
+    bitgen_t seeded;
+    pcg64_t pcg;
     double nd = (double)n;
 
     for (int64_t r = 0; r < count; r++) {
-        bitgen_t seeded;
-        pcg64_t pcg;
-        bitgen_t *bitgen = bitgens ? bitgens[r]
-            : pcg64_seed(&seeded, &pcg, (u128)seeds[count + r] << 64 | seeds[r]);
+        if (seeds)
+            bitgen = pcg64_seed(&seeded, &pcg,
+                                (u128)seeds[count + r] << 64 | seeds[r]);
         int64_t removed = 0, patches, debris;
         double dev = -INFINITY;
         int status = poisson_mean_status(mean_patches, lam_max);

@@ -3,12 +3,12 @@
 `chain_kernel.c` holds the reduced chain, run for a whole batch of
 replicas of one vertex count in one call: it draws each replica's initial
 counts, steps it to absorption and takes its distance from the fluid path.
-A batch draws from one bit generator per replica, or from seeds: a (2, m)
-uint64 array of 128-bit seeds, low words then high words, from which the C
-code seeds each replica's PCG64 on its stack as `np.random.PCG64(seed)`
-does, with no Python object per replica and no lock.  `chain.run` is a
-batch of one on its generator's bit generator; `montecarlo` runs its
-replica batches from seeds.  The file also holds the patch loop of
+A batch is one replica on one bit generator, under its lock, as
+`chain.run` makes it, or one replica per seed: from a (2, m) uint64 array
+of 128-bit seeds, low words then high words, the C code seeds each
+replica's PCG64 on its stack as `np.random.PCG64(seed)` does, with no
+Python object per replica and no lock, as `montecarlo` runs its replica
+batches.  The file also holds the patch loop of
 `hypergraph.collapse_all` and, with a fixed pick, `identifiable_set`, on a
 `Hypergraph`'s two int64 edge arrays.  It is compiled with the system C
 compiler (`cc`) and linked against numpy's `libnpyrandom.a`, so each loop
@@ -22,7 +22,7 @@ for the same numpy, and only a build imports `subprocess`.  `load()`
 returns None, and every caller keeps its Python loop, when there is no
 compiler, the build fails, the cache directory is not private to this
 user, or the loaded library does not reproduce the Python loops draw for
-draw on fixed replica batches, from bit generators and from seeds, and a
+draw on fixed replica batches, on a bit generator and from seeds, and a
 fixed hypergraph.  The reason is logged to the `hypercollapse.chain_kernel`
 logger.
 """
@@ -39,7 +39,7 @@ import stat
 import sysconfig
 import tempfile
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -94,38 +94,33 @@ class Kernel:
     _collapse: ctypes._CFuncPtr = field(repr=False, compare=False)
 
     def batch(self, n: int, rates: np.ndarray,
-              bit_generators: Optional[Sequence[np.random.BitGenerator]],
+              bit_generator: Optional[np.random.BitGenerator],
               mean_patches: float, mean_debris: float,
-              fluid: Optional[np.ndarray] = None,
-              trajectory: Optional[np.ndarray] = None,
+              fluid: Optional[np.ndarray] = None, record_trajectory: bool = False,
               *, seeds: Optional[np.ndarray] = None):
-        """`chain._batch` in one call, with the same draws: under the lock of
-        each bit generator, or, with `seeds` in their place, on a PCG64 per
-        replica that the compiled loop seeds as `np.random.PCG64` does, with
-        no Python object per replica and no lock."""
-        m, seeds, fluid = _batch_arguments(n, rates, bit_generators, seeds, fluid, trajectory)
+        """`chain._batch` in one call, with the same draws: a batch of one
+        under the bit generator's lock, or, with `seeds` in its place, one
+        replica per seed on a PCG64 that the compiled loop seeds as
+        `np.random.PCG64` does, with no Python object per replica and no lock."""
+        m, seeds, fluid = _batch_arguments(n, rates, bit_generator, seeds, fluid,
+                                           record_trajectory)
         counts = np.empty((m, 2), dtype=np.int64)
         deviations = None if fluid is None else np.empty(m)
-
-        def call(bitgens, seed_words):
-            return self._batch(n, rates.ctypes.data, _LAM_MAX, m, bitgens, seed_words,
-                               mean_patches, mean_debris,
-                               None if fluid is None else fluid.ctypes.data,
-                               counts.ctypes.data,
-                               None if deviations is None else deviations.ctypes.data,
-                               None if trajectory is None else trajectory.ctypes.data)
-
-        if seeds is not None:
-            status = call(None, seeds.ctypes.data)
-        else:
-            with contextlib.ExitStack() as locks:
-                # each lock once: a generator may come twice, and its lock need not nest
-                for lock in dict.fromkeys(g.lock for g in bit_generators):
-                    locks.enter_context(lock)
-                status = call((ctypes.c_void_p * m)(*map(_bitgen, bit_generators)), None)
+        trajectory = np.empty((n + 1, 3), dtype=np.int64) if record_trajectory else None
+        with contextlib.nullcontext() if bit_generator is None else bit_generator.lock:
+            status = self._batch(n, rates.ctypes.data, _LAM_MAX, m,
+                                 None if bit_generator is None else _bitgen(bit_generator),
+                                 None if seeds is None else seeds.ctypes.data,
+                                 mean_patches, mean_debris,
+                                 None if fluid is None else fluid.ctypes.data,
+                                 counts.ctypes.data,
+                                 None if deviations is None else deviations.ctypes.data,
+                                 None if trajectory is None else trajectory.ctypes.data)
         if status:
             _raise(status)
-        return counts, deviations
+        # a copy, so that a short run does not keep the n + 1 rows alive
+        return (counts, deviations,
+                None if trajectory is None else trajectory[:counts[0, 0] + 1].copy())
 
     def collapse(self, n: int, sizes: np.ndarray, ids: np.ndarray,
                  bit_generator: Optional[np.random.BitGenerator], record_trajectory: bool):
@@ -230,10 +225,10 @@ def _self_check(kernel: Kernel) -> None:
     BTPE binomial branch, few (a mean of 3) its inversion branch, the last
     step its p = 1 case; the means cross 10, where numpy's Poisson sampler
     switches method.  `Kernel.batch` and `chain._batch` run each mean on
-    the same arguments: two replicas without and with a fluid table, and
-    a batch of one with its trajectory, as `chain.run` makes it; then the
-    three from seeds of 1, 2, 3 and 4 32-bit words, which `Kernel.batch`
-    seeds in C and `chain._batch` with `np.random.PCG64`, with few patches.
+    the same arguments: five replicas from seeds of 1, 2, 3 and 4 32-bit
+    words, which `Kernel.batch` seeds in C and `chain._batch` with
+    `np.random.PCG64`, without and with a fluid table, and a batch of one
+    on a PCG64 with its trajectory, as `chain.run` makes it.
     The collapse leaves stale entries in its bag, and its bag falls to one
     entry, where `Generator.integers(1)` draws nothing.  The same collapse
     runs once more with the fixed pick of `identifiable_set`.
@@ -247,27 +242,20 @@ def _self_check(kernel: Kernel) -> None:
     seeds = [0, 2**32 - 1, 2**64, 2**96 + 5, 2**128 - 1]
     words = np.array([[s & (2**64 - 1) for s in seeds], [s >> 64 for s in seeds]],
                      dtype=np.uint64)
-    batches = [(means, m, None, table, rows) for means in ((3.0, 0.5), (2000.0, 0.5))
-               for m, table, rows in ((2, None, False), (2, fluid, False), (1, None, True))]
-    # a seeded PCG64 meets numpy's samplers as any bit generator does, so
-    # one mean checks its seeding
-    batches += [((3.0, 0.5), 0, seed_words, table, rows) for seed_words, table, rows
-                in ((words, None, False), (words, fluid, False), (words[:, -1:], None, True))]
-    for means, m, seed_words, table, rows in batches:
-        outcomes = []
-        for batch in (kernel.batch, _batch):
-            bit_generators = [np.random.PCG64(20_011 + r) for r in range(m)]
-            trajectory = np.zeros((n + 1, 3), dtype=np.int64) if rows else None
-            # a seeded batch (m = 0) takes None for its bit generators
-            counts, deviations = batch(n, rates, bit_generators or None, *means, table,
-                                       trajectory, seeds=seed_words)
-            # np.asarray(None).tolist() is None
-            outcomes.append([np.asarray(a).tolist() for a in (counts, deviations, trajectory)]
-                            + [g.state for g in bit_generators])
-        if outcomes[0] != outcomes[1]:
-            raise _SelfCheckError(
-                f"{kernel.path} drew differently from the Python loop in a batch with a "
-                f"mean of {means[0]} patches{'' if seed_words is None else ' from seeds'}")
+    for means in ((3.0, 0.5), (2000.0, 0.5)):
+        for seed_words, table in ((words, None), (words, fluid), (None, None)):
+            outcomes = []
+            for batch in (kernel.batch, _batch):
+                bit_generator = np.random.PCG64(20_011) if seed_words is None else None
+                results = batch(n, rates, bit_generator, *means, table, seed_words is None,
+                                seeds=seed_words)
+                # np.asarray(None).tolist() is None
+                outcomes.append([np.asarray(a).tolist() for a in results]
+                                + [None if bit_generator is None else bit_generator.state])
+            if outcomes[0] != outcomes[1]:
+                raise _SelfCheckError(
+                    f"{kernel.path} drew differently from the Python loop in a batch with a "
+                    f"mean of {means[0]} patches{'' if seed_words is None else ' from seeds'}")
     # three patches on vertex 0 leave two stale entries; 6 and 7 stay
     edges = [(), (0,), (0,), (0,), (1,), (0, 2), (2, 3), (4, 5), (6, 7), (1, 3, 4), (5, 6, 7)]
     sizes, ids = _flat(edges)

@@ -247,7 +247,9 @@ class FluidModel:
         crit = critical_structure(series, tangency_tolerance)
         if t_max is None:
             t_max = min(0.999, crit.z_star + 0.1)
-        return cls(series, crit, min(real("t_max", t_max), T_CAP))
+        t_max = real("t_max", t_max)
+        # cap a horizon in [T_CAP, 1); __post_init__ refuses one outside (0, 1)
+        return cls(series, crit, min(t_max, T_CAP) if t_max < 1.0 else t_max)
 
     def curve(self, grid_points: int = 1001) -> np.ndarray:
         """Columns t, x1, x2, x3, f, sigma_sq on a uniform grid to t_max."""

@@ -168,10 +168,12 @@ def sample_poisson(n_vertices: int, series: BetaSeries,
 
     For each size j the total number of j-edges is Poisson(N*bj), and each
     edge sits on an independently uniform j-subset, drawn with replacement
-    across edges so repeated subsets accumulate multiplicity.
+    across edges so repeated subsets accumulate multiplicity.  A size above
+    N must have a zero coefficient: it draws no edge and leaves the stream
+    where it was.
     """
     h = Hypergraph(n_vertices)
-    if series.degree > h.n_vertices:
+    if any(series.coeffs[h.n_vertices + 1:]):
         raise ValueError("series degree exceeds the vertex count")
     sizes, ids = [], []
     for j, bj in enumerate(series.coeffs):

@@ -3,10 +3,11 @@
 Every replica draws from its own PCG64 generator seeded by a fixed
 integer-mixing function of (master_seed, n_vertices, replica), so results
 are independent of scheduling and identical for any number of worker
-threads.  The compiled step loop seeds replica r's PCG64 from the same
-128-bit seed by numpy's `PCG64` rule, with the same stream as
-`np.random.PCG64(seed)`, and runs a whole batch outside the interpreter
-lock.
+threads.  A replica batch passes the seeds, not generators: the compiled
+step loop seeds replica r's PCG64 from the same 128-bit seed by numpy's
+`PCG64` rule, with the same stream as `np.random.PCG64(seed)`, and runs
+the whole batch in one call, with no bit generator lock and outside the
+interpreter lock.
 """
 
 from __future__ import annotations
@@ -176,16 +177,17 @@ def _replica_batch(series: BetaSeries, n_vertices: int, table: np.ndarray,
     largest distance in patches or debris from that path over the rows of
     the replica's trajectory; row k of a trajectory has removed = k, so it
     meets row k of the path.  The batch's seeds are derived at once, and
-    the whole batch is one call on their words, to the compiled kernel when
-    it loads, which seeds each replica's PCG64 itself, else to its Python
-    reference `chain._batch`, on the same arguments.
+    the whole batch is one call on their words, with no bit generator and
+    no trajectory, to the compiled kernel when it loads, which seeds each
+    replica's PCG64 itself, else to its Python reference `chain._batch`,
+    on the same arguments.
     """
     from . import chain_kernel
 
     words = _seed_words(master_seed, n_vertices, range(lo, hi))
     seeds = _seeds(words)
     kernel = chain_kernel.load()
-    counts, deviations = (_batch if kernel is None else kernel.batch)(
+    counts, deviations, _ = (_batch if kernel is None else kernel.batch)(
         n_vertices, table, None, n_vertices * series.coeff(1),
         n_vertices * series.coeff(0), fluid, seeds=words)
     runs = zip(*counts.T.tolist(),

@@ -297,6 +297,13 @@ def fresh_loader(monkeypatch, tmp_path):
     chain_kernel.load.cache_clear()
 
 
+def seed_words(seeds):
+    """The (2, m) uint64 array of the seeds' low and high words that a
+    seeded batch takes."""
+    return np.array([[s & (2**64 - 1) for s in seeds], [s >> 64 for s in seeds]],
+                    dtype=np.uint64)
+
+
 def both_paths(n_vertices, series, make_rng, rate_table=None):
     """`run` with the compiled kernel, then with the Python loop; each result
     comes with the bit generator state it left (or the error it raised)."""
@@ -367,9 +374,10 @@ class TestKernel:
         fluid = np.random.default_rng(4).uniform(0.0, 0.3, size=(n + 1, 3))
         monkeypatch.setattr(chain_kernel, "load", lambda: None)
         for path_table in (None, fluid):
-            got = [np.random.PCG64(seed) for seed in range(7)]
-            counts, deviations = kernel.batch(n, table, got, *means, path_table)
-            for seed, bit_generator in enumerate(got):
+            counts, deviations, trajectory = kernel.batch(n, table, None, *means, path_table,
+                                                          seeds=seed_words(range(7)))
+            assert trajectory is None
+            for seed in range(7):
                 rng = np.random.default_rng(seed)
                 want = run(n, EX1, rng, record_trajectory=True, rate_table=table)
                 assert counts[seed].tolist() == [want.removed, want.debris]
@@ -377,6 +385,11 @@ class TestKernel:
                     assert deviations is None
                 else:
                     assert deviations[seed] == chain._deviation(n, want.trajectory, fluid)
+                # a batch of one on a bit generator leaves its state as the run does
+                bit_generator = np.random.PCG64(seed)
+                one = kernel.batch(n, table, bit_generator, *means, path_table, True)
+                assert one[0].tolist() == [[want.removed, want.debris]]
+                assert np.array_equal(one[2], want.trajectory)
                 assert bit_generator.state == rng.bit_generator.state
 
     def test_batch_stops_at_the_first_failing_replica(self, kernel):
@@ -395,23 +408,26 @@ class TestKernel:
                 break
         assert failed is not None and 0 < failed[0] < 11
         for batch in (kernel.batch, chain._batch):
-            got = [np.random.PCG64(seed) for seed in range(12)]
             with pytest.raises(ValueError, match="^lam value too large$"):
-                batch(n, table, got, 0.2, 0.0)
-            assert [g.state for g in got] == [w.bit_generator.state for w in want]
+                batch(n, table, None, 0.2, 0.0, seeds=seed_words(range(12)))
+            # the failing replica stops before the draw that fails
+            bit_generator = np.random.PCG64(failed[0])
+            with pytest.raises(ValueError, match="^lam value too large$"):
+                batch(n, table, bit_generator, 0.2, 0.0)
+            assert bit_generator.state == want[failed[0]].bit_generator.state
 
     def test_a_nan_in_the_fluid_table_gives_a_nan_deviation(self, kernel):
         n = 200
         table = edge_rate_curve(n, 2, EX1)
         fluid = np.zeros((n + 1, 3))
         fluid[30, 2] = math.nan
-        counts, deviations = kernel.batch(n, table, [np.random.PCG64(s) for s in range(20)],
-                                          n * EX1.coeff(1), 0.0, fluid)
+        counts, deviations, _ = kernel.batch(n, table, None, n * EX1.coeff(1), 0.0, fluid,
+                                             seeds=seed_words(range(20)))
         reached = counts[:, 0] >= 30
         assert reached.any() and not reached.all()
         assert np.array_equal(np.isnan(deviations), reached)
-        want = chain._batch(n, table, [np.random.PCG64(s) for s in range(20)],
-                            n * EX1.coeff(1), 0.0, fluid)
+        want = chain._batch(n, table, None, n * EX1.coeff(1), 0.0, fluid,
+                            seeds=seed_words(range(20)))
         assert np.array_equal(counts, want[0])
         assert np.array_equal(deviations, want[1], equal_nan=True)
 
@@ -419,46 +435,35 @@ class TestKernel:
         table = edge_rate_curve(10, 2, EX1)
         for batch in (kernel.batch, chain._batch):
             with pytest.raises(ValueError, match="fluid must have shape"):
-                batch(10, table, [np.random.PCG64(1)], 1.0, 0.0, np.zeros((10, 3)))
+                batch(10, table, None, 1.0, 0.0, np.zeros((10, 3)), seeds=seed_words([1]))
             with pytest.raises(ValueError, match="batch of one"):
-                batch(10, table, [np.random.PCG64(1)] * 2, 1.0, 0.0,
-                      trajectory=np.zeros((11, 3), dtype=np.int64))
+                batch(10, table, None, 1.0, 0.0, record_trajectory=True,
+                      seeds=seed_words([1, 2]))
             with pytest.raises(ValueError, match="at least n values"):
-                batch(10, table[:9], [np.random.PCG64(1)], 1.0, 0.0)
+                batch(10, table[:9], None, 1.0, 0.0, seeds=seed_words([1]))
 
     def test_batch_takes_bit_generators_or_seeds(self, kernel):
         table = edge_rate_curve(10, 2, EX1)
-        words = np.zeros((2, 1), dtype=np.uint64)
+        words = seed_words([0])
         for batch in (kernel.batch, chain._batch):
-            with pytest.raises(TypeError, match="bit_generators or seeds"):
-                batch(10, table, [np.random.PCG64(1)], 1.0, 0.0, seeds=words)
-            with pytest.raises(TypeError, match="bit_generators or seeds"):
+            with pytest.raises(TypeError, match="a bit_generator or seeds"):
+                batch(10, table, np.random.PCG64(1), 1.0, 0.0, seeds=words)
+            with pytest.raises(TypeError, match="a bit_generator or seeds"):
                 batch(10, table, None, 1.0, 0.0)
             for bad in (words.astype(np.int64), words[0], np.zeros((3, 1), dtype=np.uint64),
                         [[0], [0]]):
                 with pytest.raises(ValueError, match=r"seeds must be a \(2, m\) uint64"):
                     batch(10, table, None, 1.0, 0.0, seeds=bad)
 
-    def test_batch_holds_each_bit_generator_lock_once(self, kernel):
-        # a lock that does not nest, as some numpy versions give: the same
-        # generator twice must not wait on its own lock
-        class PlainLockPCG64(np.random.PCG64):
-            def __init__(self, seed):
-                super().__init__(seed)
-                self._plain_lock = threading.Lock()
-
-            @property
-            def lock(self):
-                return self._plain_lock
-
+    def test_batch_holds_its_bit_generator_lock(self, kernel):
         n = 50
         table = edge_rate_curve(n, 2, EX1)
-        bit_generator = PlainLockPCG64(3)
-        want = chain._batch(n, table, [np.random.PCG64(3)] * 2, n * EX1.coeff(1), 0.0)
+        bit_generator = np.random.PCG64(3)
+        want = chain._batch(n, table, np.random.PCG64(3), n * EX1.coeff(1), 0.0)
         got = []
         with bit_generator.lock:
             thread = threading.Thread(target=lambda: got.append(kernel.batch(
-                n, table, [bit_generator] * 2, n * EX1.coeff(1), 0.0)), daemon=True)
+                n, table, bit_generator, n * EX1.coeff(1), 0.0)), daemon=True)
             thread.start()
             thread.join(0.2)
             assert thread.is_alive() and not got
@@ -505,9 +510,10 @@ class TestKernel:
     def test_batch_that_draws_differently_is_refused(self, kernel, monkeypatch, caplog):
         reference = chain._batch
 
-        def drifted(n, rates, bit_generators, *args, **kwargs):
-            np.random.Generator(bit_generators[0]).integers(2)
-            return reference(n, rates, bit_generators, *args, **kwargs)
+        def drifted(n, rates, bit_generator, *args, **kwargs):
+            if bit_generator is not None:
+                np.random.Generator(bit_generator).integers(2)
+            return reference(n, rates, bit_generator, *args, **kwargs)
 
         monkeypatch.setattr(chain, "_batch", drifted)
         chain_kernel.load.cache_clear()

@@ -51,6 +51,12 @@ class TestAnalyze:
         assert "error:" in capsys.readouterr().err
         assert not (out / "curve.csv").exists()
 
+    def test_horizon_beyond_one_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--beta", "0,1", "--t-max", "2", "--out", str(out)]) == 1
+        assert "t_max must be in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_command_leaves_no_directory(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert main(["analyze", "--p", "0.1", "--alpha", "0.5", "--grid", "1",

@@ -14,6 +14,7 @@ from hypercollapse import (BetaSeries, CriticalStructure, FluidModel,
                            patch_overlap_average, path, path_grid, run,
                            sample_limit_fraction, sigma_sq,
                            simulate_fluctuation, stream)
+from hypercollapse.series import T_CAP
 from helpers import (central_difference, euler_fluctuation, jump_moment_matrix,
                      piecewise_quad)
 
@@ -327,6 +328,15 @@ class TestFluidModel:
         t = curve[50, 0]
         assert curve[50, 4] == pytest.approx(deficiency(EX1, float(t)), rel=1e-12)
         assert curve[50, 5] == pytest.approx(sigma_sq(float(t), EX1), rel=1e-12)
+
+    @pytest.mark.parametrize("t_max", [1.0, 2.0, 0.0, -0.5, math.nan])
+    def test_horizon_outside_the_unit_interval_is_refused(self, t_max):
+        with pytest.raises(ValueError, match=r"^t_max must be in \(0, 1\)$"):
+            FluidModel.build(EX1, t_max=t_max)
+
+    def test_horizon_near_one_is_capped(self):
+        assert FluidModel.build(EX1, t_max=1.0 - 1e-12).t_max == T_CAP
+        assert FluidModel.build(EX1, t_max=0.5).t_max == 0.5
 
     @pytest.mark.parametrize("grid_points", [1000.7, "5", True])
     def test_grid_points_must_be_whole(self, grid_points):

@@ -146,6 +146,11 @@ class TestSamplePoisson:
     def test_degree_must_fit(self):
         with pytest.raises(ValueError, match="series degree exceeds the vertex count"):
             sample_poisson(2, BetaSeries((0, 0, 0, 1.0)), np.random.default_rng(0))
+        # zero coefficients above N draw nothing and leave the stream alone
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_poisson(3, BetaSeries((0, 1.0, 0, 0, 0)), got_rng)
+        assert got == sample_poisson(3, BetaSeries((0, 1.0)), want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
         with pytest.raises(ValueError, match="need at least one vertex"):
             sample_poisson(0, BetaSeries((0, 0.5, 1.0)), np.random.default_rng(0))
 

@@ -17,7 +17,7 @@ from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain, chai
                            collapse_all, edge_rate_curve, hypergraph, identifiable_set,
                            read_hypergraph, remove_vertex, run_replicas, write_hypergraph)
 from helpers import canonical_instances, peeling_fixpoint, per_line_read
-from test_chain import both_paths
+from test_chain import both_paths, seed_words
 from test_hypergraph import assert_both_loops_collapse_alike
 from test_montecarlo import reference_deviation
 
@@ -116,19 +116,15 @@ def test_seeded_batch_matches_a_pcg64_per_seed(series, n, with_fluid, seeds):
     batch = chain._batch if kernel is None else kernel.batch
     table = edge_rate_curve(n, 2, series)
     fluid = np.random.default_rng(n).uniform(0.0, 0.3, (n + 1, 3)) if with_fluid else None
-    words = np.array([[s & (2**64 - 1) for s in seeds], [s >> 64 for s in seeds]],
-                     dtype=np.uint64)
     means = n * series.coeff(1), n * series.coeff(0)
-    got = batch(n, table, None, *means, fluid, seeds=words)
-    want = chain._batch(n, table, [np.random.PCG64(s) for s in seeds], *means, fluid)
-    assert np.array_equal(got[0], want[0])
-    assert (got[1] is None) == (want[1] is None) == (fluid is None)
-    assert fluid is None or np.array_equal(got[1], want[1])
-    rows = [np.zeros((n + 1, 3), dtype=np.int64) for _ in range(2)]
-    got = batch(n, table, None, *means, trajectory=rows[0], seeds=words[:, :1])
-    want = chain._batch(n, table, [np.random.PCG64(seeds[0])], *means, trajectory=rows[1])
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(*rows)
+    counts, deviations, _ = batch(n, table, None, *means, fluid, seeds=seed_words(seeds))
+    assert (deviations is None) == (fluid is None)
+    wants = [chain._batch(n, table, np.random.PCG64(s), *means, fluid, True) for s in seeds]
+    assert np.array_equal(counts, np.concatenate([want[0] for want in wants]))
+    assert fluid is None or deviations.tolist() == [want[1][0] for want in wants]
+    got = batch(n, table, None, *means, fluid, True, seeds=seed_words(seeds[:1]))
+    assert np.array_equal(got[0], wants[0][0])
+    assert np.array_equal(got[2], wants[0][2])
 
 
 def read_text(text):
