@@ -258,7 +258,7 @@ def _self_check(kernel: Kernel) -> None:
                     f"mean of {means[0]} patches{'' if seed_words is None else ' from seeds'}")
     # three patches on vertex 0 leave two stale entries; 6 and 7 stay
     edges = [(), (0,), (0,), (0,), (1,), (0, 2), (2, 3), (4, 5), (6, 7), (1, 3, 4), (5, 6, 7)]
-    sizes, ids = _flat(edges)
+    sizes, ids = _flat(8, edges)
     got_bitgen, want_bitgen = np.random.PCG64(20_011), np.random.PCG64(20_011)
     got = kernel.collapse(8, sizes, ids, got_bitgen, True)
     want = _collapse_steps(8, sizes, ids, want_bitgen, True)

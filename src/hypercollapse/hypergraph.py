@@ -12,10 +12,12 @@ is scalar `rng.integers(N)` draws until it has enough distinct ids (drawn
 in bulk by `_uniform_subsets`), a collapse step one `rng.integers(len(bag))`
 pick (compiled in `chain_kernel` when it loads, on the same draws).
 
-A `Hypergraph` stores its edge instances as the patch loop takes them: int64
-arrays `sizes` (one per instance) and the flat `ids`, in canonical order (by
-size, then lexicographically, ids increasing), so equal multisets have equal
-arrays.  Every producer of edges goes through `_canonical`.
+A `Hypergraph` on at most 2**63 - 1 vertices stores its edge instances as
+the patch loop takes them: int64 arrays `sizes` (one per instance) and the
+flat `ids`, in canonical order (by size, then lexicographically, ids
+increasing), so equal multisets have equal arrays.  Edges from outside are
+checked once where they enter, by `_flat`; every producer of edges goes
+through `_canonical`, which orders them and refuses an id twice in an edge.
 """
 
 from __future__ import annotations
@@ -44,16 +46,19 @@ def _vertex_id(v) -> int:
     raise ValueError(f"a vertex id must be an integer, got {v!r}")
 
 
-def _flat(edges: list) -> tuple[np.ndarray, np.ndarray]:
-    """(sizes, ids) of `edges`, sequences of vertex ids (`_vertex_id`), for `_canonical`."""
+def _flat(n: int, edges: list) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, ids) of `edges`, sequences of vertex ids (`_vertex_id`) in
+    range(n), as int64 arrays for `_canonical`; a ValueError names the first
+    edge given with an id out of range."""
     ids = list(chain.from_iterable(edges))
     if not set(map(type, ids)) <= {int}:
         ids = list(map(_vertex_id, ids))
-    try:
-        flat = np.array(ids, dtype=np.int64)
-    except OverflowError:  # an id beyond int64 stays a Python int
-        flat = np.array(ids, dtype=object)
-    return np.fromiter(map(len, edges), np.int64, len(edges)), flat
+    # min and max of a list: tiny hypergraphs pay for each numpy call
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        bad = next(edge for edge in (list(map(_vertex_id, e)) for e in edges)
+                   if edge and (min(edge) < 0 or max(edge) >= n))
+        raise ValueError(f"vertex id out of range in edge {bad}")
+    return np.fromiter(map(len, edges), np.int64, len(edges)), np.array(ids, dtype=np.int64)
 
 
 def _size_classes(sizes: np.ndarray):
@@ -79,21 +84,15 @@ def _edge_lists(sizes: np.ndarray, ids: np.ndarray):
 _FEW_EDGES = 32
 
 
-def _canonical(n: int, sizes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one edge rule on flat arrays, edge e the `sizes[e]` ids after those
-    of edges 0..e-1: ids in range(n), none twice in an edge; a ValueError
-    names the first edge given that breaks it.  Returns new read-only (sizes,
-    ids) in canonical order, `ids` int64, or object for ids past int64."""
-    # min and max of a list: tiny hypergraphs pay for each numpy call
-    flat = ids.tolist()
-    if flat and (min(flat) < 0 or max(flat) >= n):
-        bad = next(e for e in _edge_lists(sizes, ids) if e and (min(e) < 0 or max(e) >= n))
-        raise ValueError(f"vertex id out of range in edge {bad}")
+def _canonical(sizes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of the flat int64 arrays, edge e the `sizes[e]` ids after
+    those of edges 0..e-1, as new read-only (sizes, ids) in canonical order;
+    a ValueError names the first edge given with an id twice."""
     if len(sizes) <= _FEW_EDGES:  # sorted lexicographically, then stably by size
         edges = sorted(sorted(map(sorted, _edge_lists(sizes, ids))), key=len)
-        dup = sum(map(len, map(set, edges))) < len(flat)  # a repeat is not distinct
+        dup = sum(map(len, map(set, edges))) < len(ids)  # a repeat is not distinct
         out_sizes = np.fromiter(map(len, edges), np.int64, len(edges))
-        out = np.array(list(chain.from_iterable(edges)), dtype=ids.dtype)
+        out = np.array(list(chain.from_iterable(edges)), dtype=np.int64)
     else:  # sorted stably by their edge's size, the ids keep each edge whole and in place
         out, out_sizes = ids[sizes.repeat(sizes).argsort(kind="stable")], np.sort(sizes)
         dup = False
@@ -111,12 +110,13 @@ def _canonical(n: int, sizes: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, 
     return out_sizes, out
 
 
-_NO_EDGES = _canonical(1, *_flat([]))  # shared by every hypergraph without edges
+_NO_EDGES = _canonical(*_flat(1, []))  # shared by every hypergraph without edges
 
 
 class Hypergraph:
     """Multiset of hyperedges over vertices 0..n_vertices-1, in the read-only
-    arrays `sizes` and `ids` (module docstring); equal multisets are equal."""
+    arrays `sizes` and `ids` (module docstring); equal multisets are equal.
+    A vertex count must be in [1, 2**63 - 1], so that it and every id fit in int64."""
 
     __slots__ = ("n_vertices", "sizes", "ids")
 
@@ -124,17 +124,19 @@ class Hypergraph:
         n_vertices = whole("n_vertices", n_vertices)
         if n_vertices < 1:
             raise ValueError("need at least one vertex")
+        if n_vertices > 2**63 - 1:
+            raise ValueError(f"n_vertices must be at most 2**63 - 1, got {n_vertices}")
         self.n_vertices = n_vertices
         edges = list(map(tuple, edges))
-        self.sizes, self.ids = _canonical(n_vertices, *_flat(edges)) if edges else _NO_EDGES
+        self.sizes, self.ids = _canonical(*_flat(n_vertices, edges)) if edges else _NO_EDGES
 
     def add_edge(self, vertices: Iterable[int], multiplicity: int = 1) -> None:
         """Add `multiplicity` instances of `vertices`, in time linear in all instances."""
         m = whole("multiplicity", multiplicity)
         if m < 1:
             raise ValueError("multiplicity must be >= 1")
-        size, ids = _flat([tuple(vertices)])
-        self.sizes, self.ids = _canonical(self.n_vertices, np.append(self.sizes, size.repeat(m)),
+        size, ids = _flat(self.n_vertices, [tuple(vertices)])
+        self.sizes, self.ids = _canonical(np.append(self.sizes, size.repeat(m)),
                                           np.concatenate([self.ids, np.tile(ids, m)]))
 
     def edge_counts(self) -> dict[tuple[int, ...], int]:
@@ -180,14 +182,8 @@ def sample_poisson(n_vertices: int, series: BetaSeries,
         count = int(rng.poisson(n_vertices * bj))
         sizes += [j] * count
         ids += _uniform_subsets(n_vertices, j, count, rng)
-    h.sizes, h.ids = _canonical(h.n_vertices, *(np.array(a, np.int64) for a in (sizes, ids)))
+    h.sizes, h.ids = _canonical(*(np.array(a, np.int64) for a in (sizes, ids)))
     return h
-
-
-# A bulk `rng.integers(n, size=k)` costs about as much as three to four
-# scalar calls (numpy's per-call checks), and more after file I/O has
-# evicted it from the caches, so a few draws are cheaper one at a time.
-_FEW_DRAWS = 8
 
 
 def _uniform_subsets(n: int, size: int, count: int, rng: np.random.Generator) -> list[int]:
@@ -198,8 +194,7 @@ def _uniform_subsets(n: int, size: int, count: int, rng: np.random.Generator) ->
     distinct ids.  The draws come in bulk, each time the least that the
     subsets still to come must use, so the stream ends where the
     one-draw-at-a-time loop ends: `rng.integers(n, size=k)` gives the
-    draws, and leaves the bit-generator state, of k scalar calls.  When
-    that least is `_FEW_DRAWS` or fewer, they come one at a time.
+    draws, and leaves the bit-generator state, of k scalar calls.
     """
     subsets: list[int] = []
     draws: list[int] = []
@@ -209,9 +204,7 @@ def _uniform_subsets(n: int, size: int, count: int, rng: np.random.Generator) ->
         picked: set[int] = set()
         while len(picked) < size:
             if pos == len(draws):
-                need = size - len(picked) + later
-                draws = (rng.integers(n, size=need).tolist() if need > _FEW_DRAWS
-                         else [int(rng.integers(n))])
+                draws = rng.integers(n, size=size - len(picked) + later).tolist()
                 pos = 0
             picked.add(draws[pos])
             pos += 1
@@ -228,7 +221,7 @@ def _without(h: Hypergraph, removed: list[int]) -> Hypergraph:
         gone[removed] = True
         keep = ~gone[h.ids]  # each edge keeps the ids of it that the mask keeps
         kept = np.bincount(np.arange(len(h.sizes)).repeat(h.sizes)[keep], minlength=len(h.sizes))
-        out.sizes, out.ids = _canonical(h.n_vertices, kept, h.ids[keep])
+        out.sizes, out.ids = _canonical(kept, h.ids[keep])
     return out
 
 
@@ -412,7 +405,7 @@ def read_hypergraph(path: str) -> Hypergraph:
         lineno += len(lines)
         start = end + 1
     if len(batches) > 1:  # each batch is in canonical order alone
-        batches = [_canonical(h.n_vertices, *map(np.concatenate, zip(*batches)))]
+        batches = [_canonical(*map(np.concatenate, zip(*batches)))]
     h.sizes, h.ids = batches[0] if batches else _NO_EDGES
     return h
 
@@ -452,5 +445,5 @@ def _edge_lines(n: int, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     if (len(values) != 2 * len(lines) - 1 or values[1::2].count(None) != len(lines) - 1
             or not set(map(type, edges)) <= {list}):
         raise ValueError("an edge line must be one JSON array")
-    return _canonical(n, *_flat(edges))
+    return _canonical(*_flat(n, edges))
 

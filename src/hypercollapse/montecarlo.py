@@ -13,6 +13,7 @@ interpreter lock.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -206,7 +207,8 @@ def run_replicas(config: ExperimentConfig) -> ExperimentResult:
     Each N gets one rate table and, when trajectories are recorded, one
     fluid-path table of N+1 rows; the sweep is one ordered list of batches
     of about replicas / (4 * workers) replicas that share them.  One worker
-    runs the batches in the calling thread, more run them on threads.
+    runs the batches in the calling thread, more run them on a pool of at
+    most one thread per CPU; records do not depend on the scheduling.
     """
     series = config.series
     tables = {n: (edge_rate_curve(n, 2, series),
@@ -220,7 +222,7 @@ def run_replicas(config: ExperimentConfig) -> ExperimentResult:
     if config.workers == 1:
         batches = list(map(batch, *zip(*jobs)))
     else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool:
             batches = list(pool.map(batch, *zip(*jobs)))
     records = [r for part in batches for r in part]
 
@@ -254,6 +256,7 @@ def concentration_curve(config: ExperimentConfig, delta: float) -> list[tuple[in
 
 _CONFIG_KEYS = ("beta", "p", "alpha", "N_values", "replicas", "master_seed", "delta",
                 "record_trajectory", "workers", "outputs")
+_OUTPUT_KEYS = ("results_csv", "aggregates_json")
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
@@ -262,9 +265,10 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     The model comes either from explicit coefficients ("beta": [b0, ...])
     or from the graph shorthand ("p" and "alpha").  Recognized keys:
     N_values, replicas, master_seed, delta, record_trajectory, workers,
-    and the CLI's outputs; any other key is an error.  The counts must be
-    whole numbers: 1e5 is one, 2.5, true and "3" are not.  A key whose
-    value is null counts as absent.
+    and the CLI's outputs, an object of file names under `_OUTPUT_KEYS`;
+    any other key is an error.  The counts must be whole numbers: 1e5 is
+    one, 2.5, true and "3" are not.  A key whose value is null counts as
+    absent, in outputs too.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
@@ -278,8 +282,15 @@ def config_from_json(doc: dict) -> ExperimentConfig:
                                            doc["master_seed"])
     except KeyError as missing:
         raise ValueError(f"config is missing required key {missing}") from None
-    if not isinstance(doc.get("outputs", {}), dict):
-        raise ValueError(f"outputs must be a JSON object, got {doc['outputs']!r}")
+    outputs = doc.get("outputs", {})
+    if not isinstance(outputs, dict):
+        raise ValueError(f"outputs must be a JSON object, got {outputs!r}")
+    unknown = sorted(set(outputs) - set(_OUTPUT_KEYS))
+    if unknown:
+        raise ValueError(f"unknown outputs keys {unknown}; known: {list(_OUTPUT_KEYS)}")
+    for key, name in outputs.items():
+        if not isinstance(name, (str, type(None))):
+            raise ValueError(f"outputs {key} must be a file name, got {name!r}")
     return ExperimentConfig(
         series=series,
         n_values=n_values,

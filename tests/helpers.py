@@ -252,17 +252,19 @@ def per_line_read(path: str) -> tuple[int, Counter]:
     """The hypergraph file format read one line at a time: (N, Counter of
     sorted edge tuples).
 
-    The first line is a JSON object with a whole "N" >= 1; every other line
-    is blank (`str.isspace`) or a JSON array of distinct integer ids in
-    [0, N).  Text mode ends lines at LF, CRLF and CR.  Anything else raises
-    ValueError beginning "{path}, line {k}: " for the first bad line k.
+    The first line is a JSON object with a whole "N" in [1, 2**63 - 1]
+    (N and its ids fit in int64); every other line is blank (`str.isspace`) or
+    a JSON array of distinct integer ids in [0, N).  Text mode ends lines at
+    LF, CRLF and CR.  Anything else raises ValueError beginning
+    "{path}, line {k}: " for the first bad line k.
     """
     lineno = 1
     with open(path, encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
             n = header["N"] if isinstance(header, dict) and "N" in header else None
-            if (type(n) not in (int, float) or not math.isfinite(n) or n % 1 or n < 1):
+            if (type(n) not in (int, float) or not math.isfinite(n) or n % 1
+                    or not 1 <= n <= 2**63 - 1):
                 raise ValueError(f"bad header {header!r}")
             n = int(n)
             edges: Counter = Counter()

@@ -125,6 +125,7 @@ class TestSampleCollapse:
         ('{"N": 3}\n[0,\n', 2),
         ('{"N": 3}\n\n[0, 0]\n', 3),
         ('{"N": 3}\n[3]\n', 2),
+        ('{"N": 9223372036854775808}\n[0]\n', 1),  # 2**63: a count past int64
     ])
     def test_malformed_input_is_runtime_error(self, tmp_path, capsys, text, lineno):
         hpath = tmp_path / "h.hgx"
@@ -246,6 +247,10 @@ class TestSweep:
         ({**SMALL_SWEEP, "N_values": [200.7]}, "N_values must be a whole number, got 200.7"),
         ({**SMALL_SWEEP, "replicas": 2.9}, "replicas must be a whole number, got 2.9"),
         ([SMALL_SWEEP], "config must be a JSON object, got list"),
+        ({**SMALL_SWEEP, "outputs": {"result_csv": "mine.csv"}},
+         "unknown outputs keys ['result_csv']"),
+        ({**SMALL_SWEEP, "outputs": {"results_csv": 5}},
+         "outputs results_csv must be a file name, got 5"),
     ])
     def test_config_mistakes_are_runtime_errors(self, tmp_path, capsys, doc, message):
         cpath = tmp_path / "config.json"

@@ -83,6 +83,16 @@ class TestHypergraph:
         b.add_edge((2,))
         assert a != b
 
+    def test_vertex_counts_stop_at_the_int64_top(self):
+        with pytest.raises(ValueError, match="n_vertices must be at most 2"):
+            Hypergraph(2**63)
+        top = 2**63 - 1
+        h = Hypergraph(top, [[top - 1], [0, top - 1], [top - 1]])
+        assert h.ids.dtype == np.int64
+        assert h.edge_counts() == {(top - 1,): 2, (0, top - 1): 1}
+        with pytest.raises(ValueError, match=rf"out of range in edge \[{top}\]$"):
+            Hypergraph(top, [[0], [top]])
+
     def test_instances_canonical_order(self):
         h = Hypergraph(4, [(1, 2), (), (3,), (0,), (1, 2)])
         assert h.instances() == [(), (0,), (3,), (1, 2), (1, 2)]
@@ -153,6 +163,13 @@ class TestSamplePoisson:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         with pytest.raises(ValueError, match="need at least one vertex"):
             sample_poisson(0, BetaSeries((0, 0.5, 1.0)), np.random.default_rng(0))
+
+    def test_vertex_count_past_int64_draws_nothing(self):
+        rng = np.random.default_rng(4)
+        before = plain(rng.bit_generator.state)
+        with pytest.raises(ValueError, match="n_vertices must be at most 2"):
+            sample_poisson(2**63, BetaSeries((0, 1e-18)), rng)
+        assert plain(rng.bit_generator.state) == before
 
 
 class TestRemoveVertex:
@@ -334,6 +351,13 @@ class TestFileFormat:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(17)
         h = sample_poisson(30, BetaSeries((0.2, 0.5, 0.8, 0.1)), rng)
+        path = tmp_path / "h.hgx"
+        write_hypergraph(h, str(path))
+        assert read_hypergraph(str(path)) == h
+
+    def test_round_trip_at_the_int64_top(self, tmp_path):
+        top = 2**63 - 1
+        h = Hypergraph(top, [[top - 1], [0, 2**62, top - 1], []])
         path = tmp_path / "h.hgx"
         write_hypergraph(h, str(path))
         assert read_hypergraph(str(path)) == h

@@ -1,5 +1,7 @@
 import math
+import os
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,6 +180,9 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("doc, message", [
         ({**SMALL, "deltaa": 0.05}, r"unknown config keys \['deltaa'\]"),
         ({**SMALL, "outputs": ["res.csv"]}, "outputs must be a JSON object"),
+        ({**SMALL, "outputs": {"result_csv": "mine.csv"}},
+         r"unknown outputs keys \['result_csv'\]"),
+        ({**SMALL, "outputs": {"results_csv": 5}}, "outputs results_csv must be a file name"),
         ([SMALL], "config must be a JSON object, got list"),
         ("config", "config must be a JSON object, got str"),
         ({**SMALL, "p": None, "alpha": None, "beta": ["0", "0.5"]},
@@ -244,6 +249,31 @@ class TestRunReplicas:
         for other in results[1:]:
             assert other.records == results[0].records
             assert other.aggregates == results[0].aggregates
+
+    def test_the_pool_has_at_most_one_thread_per_cpu(self, monkeypatch):
+        pools = []
+
+        class InCallingThread:
+            """A stand-in pool: it records its size and runs each job at once."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InCallingThread)
+        config = ExperimentConfig(EX1, (150,), 5, master_seed=3, workers=10**5)
+        got = run_replicas(config)
+        assert pools == [min(10**5, os.cpu_count() or 1)]
+        want = run_replicas(replace(config, workers=1))
+        assert got.records == want.records
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_rate_table_per_vertex_count(self, monkeypatch, workers):
