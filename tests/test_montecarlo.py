@@ -180,9 +180,6 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("doc, message", [
         ({**SMALL, "deltaa": 0.05}, r"unknown config keys \['deltaa'\]"),
         ({**SMALL, "outputs": ["res.csv"]}, "outputs must be a JSON object"),
-        ({**SMALL, "outputs": {"result_csv": "mine.csv"}},
-         r"unknown outputs keys \['result_csv'\]"),
-        ({**SMALL, "outputs": {"results_csv": 5}}, "outputs results_csv must be a file name"),
         ([SMALL], "config must be a JSON object, got list"),
         ("config", "config must be a JSON object, got str"),
         ({**SMALL, "p": None, "alpha": None, "beta": ["0", "0.5"]},
@@ -196,6 +193,9 @@ class TestExperimentConfig:
         ({**SMALL, "delta": math.nan}, "delta must be positive and finite, got nan"),
         ({**SMALL, "N_values": 200}, "N_values must be a list of whole numbers"),
         ({**SMALL, "N_values": "200"}, "N_values must be a list of whole numbers"),
+        ({**SMALL, "outputs": {"result_csv": "mine.csv"}},
+         r"unknown outputs keys \['result_csv'\]"),
+        ({**SMALL, "outputs": {"results_csv": 5}}, "outputs results_csv must be a file name"),
     ])
     def test_from_json_rejects_malformed_documents(self, doc, message):
         with pytest.raises(ValueError, match=message):
