@@ -131,7 +131,7 @@ class Hypergraph:
         self.sizes, self.ids = _canonical(*_flat(n_vertices, edges)) if edges else _NO_EDGES
 
     def add_edge(self, vertices: Iterable[int], multiplicity: int = 1) -> None:
-        """Add `multiplicity` instances of `vertices`, in time linear in all instances."""
+        """Add `multiplicity` instances of `vertices`, then sort all instances again."""
         m = whole("multiplicity", multiplicity)
         if m < 1:
             raise ValueError("multiplicity must be >= 1")
@@ -375,8 +375,9 @@ def read_hypergraph(path: str) -> Hypergraph:
     which `Hypergraph`'s edge rule checks; lines end in LF, CRLF or CR.
     Anything else raises ValueError naming the path and the first bad
     line.  The edge lines are parsed and checked in batches of about
-    `_BATCH_CHARS` characters; a batch that fails is checked again one
-    line at a time, in file order, to find that line.
+    `_BATCH_CHARS` characters, then ordered by one `_canonical` call; if
+    that fails, each line is checked alone from line 2 to find the first
+    bad one (a bad last line of a 35.6k-line file takes about 0.3 s).
     """
     first, _, body = _read_text(path).partition("\n")
     try:
@@ -386,27 +387,23 @@ def read_hypergraph(path: str) -> Hypergraph:
         h = Hypergraph(whole("N", header["N"]))
     except ValueError as exc:
         raise ValueError(f"{path}, line 1: {exc}") from None
-    batches = []
-    lineno, start = 2, 0
-    while start < len(body):
-        end = body.find("\n", start + _BATCH_CHARS)
-        end = len(body) if end < 0 else end
-        lines = body[start:end].split("\n")
-        edge_lines = list(filter(str.strip, lines))  # strip leaves nothing of a blank line
-        try:
-            batches.append(_edge_lines(h.n_vertices, edge_lines))
-        except ValueError:
-            for no, line in enumerate(lines, lineno):
-                try:
-                    _edge_lines(h.n_vertices, [line] if line.strip() else [])
-                except ValueError as exc:
-                    raise ValueError(f"{path}, line {no}: {exc}") from None
-            raise AssertionError("the batch failed but none of its lines alone")
-        lineno += len(lines)
-        start = end + 1
-    if len(batches) > 1:  # each batch is in canonical order alone
-        batches = [_canonical(*map(np.concatenate, zip(*batches)))]
-    h.sizes, h.ids = batches[0] if batches else _NO_EDGES
+    try:
+        batches, start = [], 0
+        while start < len(body):
+            end = body.find("\n", start + _BATCH_CHARS)
+            end = len(body) if end < 0 else end
+            lines = body[start:end].split("\n")  # strip leaves nothing of a blank line
+            batches.append(_edge_lines(h.n_vertices, list(filter(str.strip, lines))))
+            start = end + 1
+        if batches:
+            h.sizes, h.ids = _canonical(*map(np.concatenate, zip(*batches)))
+    except ValueError:
+        for no, line in enumerate(body.split("\n"), 2):
+            try:
+                _canonical(*_edge_lines(h.n_vertices, [line] if line.strip() else []))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {no}: {exc}") from None
+        raise AssertionError("the file failed but none of its lines alone")
     return h
 
 
@@ -425,8 +422,8 @@ def _read_text(path: str) -> str:
 
 
 def _edge_lines(n: int, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of `lines`, each exactly one JSON array of ids, as
-    `_canonical` returns them.
+    """The edges of `lines`, each exactly one JSON array of ids, in their
+    order, as `_flat` returns them.
 
     One `json.loads` parses the lines joined by ",null,".  They pass only
     if the result alternates one list per line with the null of each
@@ -445,5 +442,5 @@ def _edge_lines(n: int, lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     if (len(values) != 2 * len(lines) - 1 or values[1::2].count(None) != len(lines) - 1
             or not set(map(type, edges)) <= {list}):
         raise ValueError("an edge line must be one JSON array")
-    return _canonical(*_flat(n, edges))
+    return _flat(n, edges)
 

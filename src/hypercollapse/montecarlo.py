@@ -206,23 +206,24 @@ def run_replicas(config: ExperimentConfig) -> ExperimentResult:
 
     Each N gets one rate table and, when trajectories are recorded, one
     fluid-path table of N+1 rows; the sweep is one ordered list of batches
-    of about replicas / (4 * workers) replicas that share them.  One worker
-    runs the batches in the calling thread, more run them on a pool of at
-    most one thread per CPU; records do not depend on the scheduling.
+    of about replicas / (4 * threads) replicas that share them, threads
+    being the workers capped at the CPU count.  One thread runs them in the
+    calling thread, more on a pool; records do not depend on the scheduling.
     """
     series = config.series
     tables = {n: (edge_rate_curve(n, 2, series),
                   path_grid(np.minimum(np.arange(n + 1) / n, T_CAP), series)
                   if config.record_trajectory else None)
               for n in config.n_values}
-    chunk = max(1, math.ceil(config.replicas / (4 * config.workers)))
+    threads = min(config.workers, os.cpu_count() or 1)
+    chunk = math.ceil(config.replicas / (4 * threads))
     jobs = [(n, *tables[n], lo, min(lo + chunk, config.replicas))
             for n in config.n_values for lo in range(0, config.replicas, chunk)]
     batch = partial(_replica_batch, series, master_seed=config.master_seed)
-    if config.workers == 1:
+    if threads == 1:
         batches = list(map(batch, *zip(*jobs)))
     else:
-        with ThreadPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             batches = list(pool.map(batch, *zip(*jobs)))
     records = [r for part in batches for r in part]
 

@@ -411,6 +411,28 @@ class TestFileFormat:
         path.write_text("\n".join(['{"N": 3}', *lines, "[1, 1]"]), encoding="utf-8")
         with pytest.raises(ValueError, match=f", line {len(lines) + 2}: duplicate vertex"):
             read_hypergraph(str(path))
+        # a duplicate in the first batch comes before a bad line in the second
+        path.write_text("\n".join(['{"N": 3}', "[0]", "[1, 1]", *lines, "[0,"]),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=", line 3: duplicate vertex"):
+            read_hypergraph(str(path))
+
+    def test_orders_the_whole_file_once(self, tmp_path, monkeypatch):
+        edges = [[4, 3], [0], [2, 1, 0], [1], []] * 20
+        path = tmp_path / "h.hgx"
+        path.write_text("\n".join(['{"N": 5}', *map(str, edges)]), encoding="utf-8")
+        calls, canonical = [], hypergraph._canonical
+
+        def counted(sizes, ids):
+            calls.append(len(sizes))
+            return canonical(sizes, ids)
+
+        monkeypatch.setattr(hypergraph, "_BATCH_CHARS", 64)  # nine batches
+        monkeypatch.setattr(hypergraph, "_canonical", counted)
+        h = read_hypergraph(str(path))
+        assert calls == [len(edges)]
+        monkeypatch.undo()
+        assert h == Hypergraph(5, edges)
 
     def test_names_the_line_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "bad.hgx"

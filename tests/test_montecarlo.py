@@ -269,11 +269,32 @@ class TestRunReplicas:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", InCallingThread)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # one CPU would make no pool
         config = ExperimentConfig(EX1, (150,), 5, master_seed=3, workers=10**5)
         got = run_replicas(config)
         assert pools == [min(10**5, os.cpu_count() or 1)]
         want = run_replicas(replace(config, workers=1))
         assert got.records == want.records
+
+    def test_batches_are_sized_by_the_threads_not_the_workers(self, monkeypatch):
+        # a thousand workers on two CPUs cut the sweep as two workers do
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        calls, batch = [], montecarlo._replica_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_replica_batch", counted)
+        runs = []
+        for workers in (2, 1000):
+            calls.clear()
+            runs.append((run_replicas(ExperimentConfig(EX1, (150, 250), 20, master_seed=3,
+                                                       delta=0.05, workers=workers)),
+                         len(calls)))
+        (two, two_calls), (many, many_calls) = runs
+        assert many_calls == two_calls
+        assert many.records == two.records
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_rate_table_per_vertex_count(self, monkeypatch, workers):
@@ -328,7 +349,7 @@ class TestConcentration:
 
     def test_deviation_recorded_per_replica(self):
         # (0, 2, 3) absorbs at removed = N, so the capped t = 1 row is compared;
-        # three workers split the replicas into one-replica batches
+        # three workers split the replicas into batches of one to three
         for series, n_values in [(EX1, (200,)), (BetaSeries((0.0, 2.0, 3.0)), (10, 37))]:
             for workers in (1, 3):
                 cfg = ExperimentConfig(series, n_values, 10, master_seed=4,
