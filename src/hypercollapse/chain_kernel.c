@@ -152,13 +152,16 @@ void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
 enum { OK = 0, LAM_NAN_OR_NEGATIVE = 1, LAM_TOO_LARGE = 2, COUNT_OVERFLOW = 3,
        NO_MEMORY = 4, BAD_EDGES = 5 };
 
-/* The checks Generator.poisson makes on its mean, in its order. */
-static int poisson_mean_status(double lam, double lam_max)
+/* Generator.poisson(lam): its checks on the mean, in its order, then its
+ * draw into *count; a failed check returns its status before any draw. */
+static int poisson(bitgen_t *bitgen, double lam, double lam_max,
+                   int64_t *count)
 {
     if (!(lam >= 0.0))
         return LAM_NAN_OR_NEGATIVE;
     if (lam > lam_max)
         return LAM_TOO_LARGE;
+    *count = random_poisson(bitgen, lam);
     return OK;
 }
 
@@ -167,6 +170,26 @@ static double farther(double dev, int64_t count, double n, double fluid)
 {
     double d = fabs((double)count / n - fluid);
     return d > dev || d != d ? d : dev;
+}
+
+/* Row k of a run on n vertices, (k, patches, debris): written to row k of
+ * trajectory, if not NULL, and, if fluid is not NULL, its distance from
+ * row k of the fluid path folded into *dev.  It runs once per step, and
+ * gcc -O2 keeps a function with four callers out of line unless inline. */
+static inline void observe(int64_t k, int64_t patches, int64_t debris,
+                           int64_t *trajectory, const double *fluid,
+                           double n, double *dev)
+{
+    if (trajectory) {
+        int64_t *row = trajectory + 3 * k;
+        row[0] = k;
+        row[1] = patches;
+        row[2] = debris;
+    }
+    if (fluid) {
+        const double *row = fluid + 3 * k;
+        *dev = farther(farther(*dev, patches, n, row[1]), debris, n, row[2]);
+    }
 }
 
 /* Run count replicas of the chain on n vertices: when seeds is not NULL,
@@ -183,13 +206,16 @@ static double farther(double dev, int64_t count, double n, double fluid)
  * and |debris/n - fluid[k][2]| over the rows k = 0..removed of replica r's
  * trajectory, which has removed = k in row k.  trajectory, if not NULL
  * (count must then be 1), holds (n + 1) * 3 int64 and receives the rows
- * (removed, patches, debris) before the first step and after each.
+ * (removed, patches, debris).  observe takes row 0, before the first step,
+ * and the row after each step.
  *
- * A Poisson mean that Generator.poisson rejects (not >= 0, or above
- * lam_max) stops the batch before its draw, in a step after that step's
- * binomial draw, as the Python loop stops; so does a count beyond the
- * int64 range.  The return value says why; the replicas before the failing
- * one are complete, and the later ones do not run. */
+ * poisson draws every count.  A mean that it rejects (not >= 0, or above
+ * lam_max, as Generator.poisson rejects it) stops the batch before that
+ * draw, as the Python loop stops: the debris mean is checked after the
+ * patches are drawn, and a step's mean after that step's binomial draw.  A
+ * count beyond the int64 range stops it too.  The return value says why;
+ * the replicas before the failing one are complete, and the later ones do
+ * not run. */
 int chain_batch(int64_t n, const double *rates, double lam_max,
                 int64_t count, bitgen_t *bitgen, const uint64_t *seeds,
                 double mean_patches, double mean_debris, const double *fluid,
@@ -204,51 +230,29 @@ int chain_batch(int64_t n, const double *rates, double lam_max,
         if (seeds)
             bitgen = pcg64_seed(&seeded, &pcg,
                                 (u128)seeds[count + r] << 64 | seeds[r]);
-        int64_t removed = 0, patches, debris;
+        int64_t removed = 0, patches, debris, fresh;
         double dev = -INFINITY;
-        int status = poisson_mean_status(mean_patches, lam_max);
+        int status = poisson(bitgen, mean_patches, lam_max, &patches);
+        if (!status)
+            status = poisson(bitgen, mean_debris, lam_max, &debris);
         if (status)
             return status;
-        patches = random_poisson(bitgen, mean_patches);
-        status = poisson_mean_status(mean_debris, lam_max);
-        if (status)
-            return status;
-        debris = random_poisson(bitgen, mean_debris);
 
         memset(&binomial, 0, sizeof binomial);
-        if (trajectory) {
-            trajectory[0] = 0;
-            trajectory[1] = patches;
-            trajectory[2] = debris;
-        }
-        if (fluid)
-            dev = farther(farther(dev, patches, nd, fluid[1]),
-                          debris, nd, fluid[2]);
+        observe(0, patches, debris, trajectory, fluid, nd, &dev);
         while (patches > 0 && removed < n) {
             int64_t left = n - removed;
             int64_t shared = random_binomial(bitgen, 1.0 / (double)left,
                                              patches - 1, &binomial);
-            double lam = (double)(left - 1) * rates[removed];
-            status = poisson_mean_status(lam, lam_max);
+            status = poisson(bitgen, (double)(left - 1) * rates[removed],
+                             lam_max, &fresh);
             if (status)
                 return status;
-            int64_t fresh = random_poisson(bitgen, lam);
             /* shared <= patches - 1, so only the additions can overflow */
             if (__builtin_add_overflow(patches - 1 - shared, fresh, &patches)
                 || __builtin_add_overflow(debris, 1 + shared, &debris))
                 return COUNT_OVERFLOW;
-            removed++;
-            if (trajectory) {
-                int64_t *row = trajectory + 3 * removed;
-                row[0] = removed;
-                row[1] = patches;
-                row[2] = debris;
-            }
-            if (fluid) {
-                const double *row = fluid + 3 * removed;
-                dev = farther(farther(dev, patches, nd, row[1]),
-                              debris, nd, row[2]);
-            }
+            observe(++removed, patches, debris, trajectory, fluid, nd, &dev);
         }
         out[2 * r] = removed;
         out[2 * r + 1] = debris;
@@ -268,10 +272,10 @@ int chain_batch(int64_t n, const double *rates, double lam_max,
  * edge keeps only its remaining size and the XOR of its remaining ids,
  * which is the vertex once one is left.  The removed vertices go to
  * identified (n int64), in removal order; trajectory, if not NULL, holds
- * (n + 1) * 3 int64 and receives (removed, patches, debris) before the
- * first removal and after each.  Returns the number removed, -NO_MEMORY,
- * or -BAD_EDGES, before any draw, when the sizes do not add up to n_ids
- * or an id is outside [0, n). */
+ * (n + 1) * 3 int64 and receives (removed, patches, debris) from observe,
+ * with no fluid path, before the first removal and after each.  Returns
+ * the number removed, -NO_MEMORY, or -BAD_EDGES, before any draw, when the
+ * sizes do not add up to n_ids or an id is outside [0, n). */
 int64_t collapse_steps(int64_t n, int64_t n_edges, const int64_t *sizes,
                        int64_t n_ids, const int64_t *ids, bitgen_t *bitgen,
                        int64_t *identified, int64_t *trajectory)
@@ -320,11 +324,7 @@ int64_t collapse_steps(int64_t n, int64_t n_edges, const int64_t *sizes,
     memmove(first + 1, first, (size_t)n * sizeof *first);
     first[0] = 0;
 
-    if (trajectory) {
-        trajectory[0] = 0;
-        trajectory[1] = patches;
-        trajectory[2] = debris;
-    }
+    observe(0, patches, debris, trajectory, NULL, 0.0, NULL);
     while (bagged > 0) {
         uint64_t k = (uint64_t)(bagged - 1);
         if (bitgen)
@@ -347,12 +347,7 @@ int64_t collapse_steps(int64_t n, int64_t n_edges, const int64_t *sizes,
             }
         }
         identified[removed++] = v;
-        if (trajectory) {
-            int64_t *row = trajectory + 3 * removed;
-            row[0] = removed;
-            row[1] = patches;
-            row[2] = debris;
-        }
+        observe(removed, patches, debris, trajectory, NULL, 0.0, NULL);
     }
 done:
     free(first);

@@ -203,6 +203,10 @@ class TestRun:
         with pytest.raises(ValueError, match="n_vertices must be a whole number"):
             run(n_vertices, EX1, np.random.default_rng(0))
 
+    def test_needs_a_vertex(self):
+        with pytest.raises(ValueError, match="^need at least one vertex$"):
+            run(0, EX1, np.random.default_rng(0))
+
     @pytest.mark.parametrize("rng", [None, np.random.RandomState(0)])
     def test_refuses_an_rng_that_is_not_a_generator(self, rng):
         with pytest.raises(TypeError, match="must be a numpy.random.Generator"):
@@ -358,6 +362,21 @@ class TestKernel:
         assert type(got) is type(want) is ValueError
         assert str(got) == str(want) and str(want).startswith("lam ")
         assert got_state == want_state
+
+    @pytest.mark.parametrize("bad", [1e300, math.nan, -1.0])
+    def test_bad_debris_mean_raises_after_the_patches_draw(self, kernel, bad):
+        # the patches are drawn before the debris mean is checked
+        table = edge_rate_curve(100, 2, EX1)
+        once = np.random.Generator(np.random.PCG64(7))
+        once.poisson(25.0)
+        outcomes = []
+        for batch in (kernel.batch, chain._batch):
+            bit_generator = np.random.PCG64(7)
+            with pytest.raises(ValueError, match="^lam ") as raised:
+                batch(100, table, bit_generator, 25.0, bad)
+            outcomes.append((str(raised.value), bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] == once.bit_generator.state
 
     def test_counts_beyond_int64_raise_on_both_paths(self, kernel):
         (got, got_state), (want, want_state) = both_paths(

@@ -186,6 +186,13 @@ class TestChain:
                      "--replicas", "3", "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_threads_must_be_positive(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["chain", "--n", "100", "--p", "0.1", "--alpha", "0.5",
+                     "--threads", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+        assert not out.exists()
+
 
 class TestSweep:
     def test_config_driven_outputs(self, tmp_path):

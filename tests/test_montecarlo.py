@@ -104,6 +104,8 @@ class TestExperimentConfig:
             ExperimentConfig(EX1, (100,), 10, 0, delta=-1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(EX1, (), 10, 0)
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            ExperimentConfig(EX1, (200,), 3, 0, workers=0)
         with pytest.raises(ValueError):
             ExperimentConfig(EX1, (1000, 1000), 3, 0)
         with pytest.raises(ValueError):

@@ -63,6 +63,10 @@ class TestWriters:
         write_json({"a": 1}, str(tmp_path / "new" / "t.json"))
         assert (tmp_path / "t.csv").read_text() == "a\n1\n"
 
+    def test_json_strings_and_empty_containers(self):
+        assert dumps_json({"a": 'x"y', "b": {}, "c": []}) == (
+            '{\n  "a": "x\\"y",\n  "b": {},\n  "c": []\n}')
+
     def test_json_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             dumps_json({"bad": object()})

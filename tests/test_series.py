@@ -7,7 +7,7 @@ from hypercollapse import (BetaSeries, BracketError, CriticalStructure,
                            DegenerateModelError, critical_structure,
                            deficiency, deficiency_grid, evaluate, evaluate_grid,
                            from_binomial_family, from_graph_params)
-from hypercollapse.series import _bisect_root
+from hypercollapse.series import _SCAN_POINTS, T_CAP, _bisect_root
 from helpers import first_negative_root
 
 
@@ -59,6 +59,8 @@ class TestEvaluate:
             evaluate(EX1, -0.1, 0)
         with pytest.raises(ValueError):
             evaluate(EX1, 0.5, 4)
+        with pytest.raises(ValueError, match=r"^grid points must be in \[0, 1\)$"):
+            deficiency_grid(EX1, [0.5, 1.0])
 
     def test_grid_matches_scalar(self):
         # the linear series has orders 2 and 3 above its degree: zeros on the grid
@@ -177,6 +179,22 @@ class TestCriticalStructure:
         crit = critical_structure(from_graph_params(p, alpha))
         assert crit.z_star == pytest.approx(oracle, abs=1e-10)
 
+    def test_crossing_hidden_between_scan_points(self):
+        # f = b1 + A t^30 + log(1-t) has its minimum, -5e-9, at t* halfway
+        # between scan points 4999 and 5000, and is negative on about 8e-6
+        # around it: only the refined minimum finds the crossing
+        t_min = 4999.5 * T_CAP / (_SCAN_POINTS - 1)
+        a = 1.0 / (30.0 * t_min**29 * (1.0 - t_min))
+        b1 = -(a * t_min**30 + math.log(1.0 - t_min)) - 5e-9
+
+        def f(ts):
+            return b1 + a * ts**30 + np.log(1.0 - ts)
+
+        assert not np.any(f(np.linspace(0.0, T_CAP, _SCAN_POINTS)) < 0.0)
+        crit = critical_structure(BetaSeries((0.0, b1) + (0.0,) * 29 + (a / 31.0,)))
+        assert crit.z_star == pytest.approx(first_negative_root(f), abs=1e-12)
+        assert crit.zeta == ()
+
     def test_threshold_is_a_sign_change(self):
         for series in (EX1, EX2_SUB):
             crit = critical_structure(series)
@@ -220,6 +238,13 @@ class TestConstructors:
     def test_binomial_family_power_must_be_whole(self, power):
         with pytest.raises(ValueError, match="power must be a whole number"):
             from_binomial_family(1185.0, power=power)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"base": -0.1}, "family parameters must be non-negative"),
+        ({"power": 0}, "power must be a positive integer")])
+    def test_binomial_family_parameters_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_binomial_family(1.0, **kwargs)
 
     def test_binomial_family_matches_direct_evaluation(self):
         series = from_binomial_family(1185.0)
