@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .series import BetaSeries, whole
+from .series import BetaSeries, bit_generator_of, whole
 
 
 def edge_rate_curve(n_vertices: int, size: int, series: BetaSeries) -> np.ndarray:
@@ -174,8 +174,7 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     """
     from . import chain_kernel
 
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    bit_generator = bit_generator_of(rng)
     N = whole("n_vertices", n_vertices)
     if N < 1:
         raise ValueError("need at least one vertex")
@@ -185,7 +184,7 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     rates = np.ascontiguousarray(rate_table, dtype=np.float64)
     kernel = chain_kernel.load()
     counts, _, trajectory = (_batch if kernel is None else kernel.batch)(
-        N, rates, rng.bit_generator, N * series.coeff(1), N * series.coeff(0),
+        N, rates, bit_generator, N * series.coeff(1), N * series.coeff(0),
         record_trajectory=record_trajectory)
     removed, debris = counts[0].tolist()
     return ChainRun(removed, debris, trajectory)

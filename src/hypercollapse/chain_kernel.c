@@ -14,6 +14,7 @@
  * against numpy/random/lib/libnpyrandom.a; chain_kernel.py builds and loads
  * it.
  */
+#include <limits.h>
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
@@ -153,13 +154,14 @@ enum { OK = 0, LAM_NAN_OR_NEGATIVE = 1, LAM_TOO_LARGE = 2, COUNT_OVERFLOW = 3,
        NO_MEMORY = 4, BAD_EDGES = 5 };
 
 /* Generator.poisson(lam): its checks on the mean, in its order, then its
- * draw into *count; a failed check returns its status before any draw. */
-static int poisson(bitgen_t *bitgen, double lam, double lam_max,
-                   int64_t *count)
+ * draw into *count; a failed check returns its status before any draw.
+ * The largest mean it takes is numpy's POISSON_LAM_MAX, which numpy
+ * derives from the C long range as below. */
+static int poisson(bitgen_t *bitgen, double lam, int64_t *count)
 {
     if (!(lam >= 0.0))
         return LAM_NAN_OR_NEGATIVE;
-    if (lam > lam_max)
+    if (lam > (double)LONG_MAX - sqrt((double)LONG_MAX) * 10)
         return LAM_TOO_LARGE;
     *count = random_poisson(bitgen, lam);
     return OK;
@@ -210,14 +212,14 @@ static inline void observe(int64_t k, int64_t patches, int64_t debris,
  * and the row after each step.
  *
  * poisson draws every count.  A mean that it rejects (not >= 0, or above
- * lam_max, as Generator.poisson rejects it) stops the batch before that
- * draw, as the Python loop stops: the debris mean is checked after the
+ * numpy's limit, as Generator.poisson rejects it) stops the batch before
+ * that draw, as the Python loop stops: the debris mean is checked after the
  * patches are drawn, and a step's mean after that step's binomial draw.  A
  * count beyond the int64 range stops it too.  The return value says why;
  * the replicas before the failing one are complete, and the later ones do
  * not run. */
-int chain_batch(int64_t n, const double *rates, double lam_max,
-                int64_t count, bitgen_t *bitgen, const uint64_t *seeds,
+int chain_batch(int64_t n, const double *rates, int64_t count,
+                bitgen_t *bitgen, const uint64_t *seeds,
                 double mean_patches, double mean_debris, const double *fluid,
                 int64_t *out, double *deviation, int64_t *trajectory)
 {
@@ -232,9 +234,9 @@ int chain_batch(int64_t n, const double *rates, double lam_max,
                                 (u128)seeds[count + r] << 64 | seeds[r]);
         int64_t removed = 0, patches, debris, fresh;
         double dev = -INFINITY;
-        int status = poisson(bitgen, mean_patches, lam_max, &patches);
+        int status = poisson(bitgen, mean_patches, &patches);
         if (!status)
-            status = poisson(bitgen, mean_debris, lam_max, &debris);
+            status = poisson(bitgen, mean_debris, &debris);
         if (status)
             return status;
 
@@ -245,7 +247,7 @@ int chain_batch(int64_t n, const double *rates, double lam_max,
             int64_t shared = random_binomial(bitgen, 1.0 / (double)left,
                                              patches - 1, &binomial);
             status = poisson(bitgen, (double)(left - 1) * rates[removed],
-                             lam_max, &fresh);
+                             &fresh);
             if (status)
                 return status;
             /* shared <= patches - 1, so only the additions can overflow */

@@ -16,9 +16,10 @@ draws with the routines `Generator.binomial`, `Generator.poisson` and
 `Generator.integers` use, on the Generator's own bit generator or the
 PCG64 it seeded: the random stream and every output stay the same.  The
 library is cached per user in `$XDG_CACHE_HOME/hypercollapse` (default
-`~/.cache/hypercollapse`), keyed by the numpy version, the platform and a
-hash of the source; a build deletes the libraries that other sources built
-for the same numpy, and only a build imports `subprocess`.  `load()`
+`~/.cache/hypercollapse`) as `chain_kernel-<key>.so`, the key a hash of the
+source, the numpy version and the platform; every build stays under its
+key (about 65 KB each on x86-64 Linux), the directory may be emptied at any
+time, and only a build imports `subprocess`.  `load()`
 returns None, and every caller keeps its Python loop, when there is no
 compiler, the build fails, the cache directory is not private to this
 user, or the loaded library does not reproduce the Python loops draw for
@@ -48,8 +49,6 @@ from .chain import _batch_arguments
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "chain_kernel.c")
 _NPYRANDOM = os.path.join(os.path.dirname(os.path.abspath(np.random.__file__)), "lib")
 _BUILD_TIMEOUT_S = 120
-# Generator.poisson rejects a mean above numpy's POISSON_LAM_MAX, defined so
-_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 _FAILURES = {
     1: (ValueError, "lam < 0 or lam is NaN"),
     2: (ValueError, "lam value too large"),
@@ -108,7 +107,7 @@ class Kernel:
         deviations = None if fluid is None else np.empty(m)
         trajectory = np.empty((n + 1, 3), dtype=np.int64) if record_trajectory else None
         with contextlib.nullcontext() if bit_generator is None else bit_generator.lock:
-            status = self._batch(n, rates.ctypes.data, _LAM_MAX, m,
+            status = self._batch(n, rates.ctypes.data, m,
                                  None if bit_generator is None else _bitgen(bit_generator),
                                  None if seeds is None else seeds.ctypes.data,
                                  mean_patches, mean_debris,
@@ -175,7 +174,7 @@ def _library() -> str:
     directory = _cache_dir()
     os.makedirs(directory, mode=0o700, exist_ok=True)
     _check_private(directory, stat.S_ISDIR)
-    path = os.path.join(directory, f"chain_kernel-{np.__version__}-{key.hexdigest()[:16]}.so")
+    path = os.path.join(directory, f"chain_kernel-{key.hexdigest()[:16]}.so")
     if not os.path.exists(path):
         import subprocess
 
@@ -193,28 +192,8 @@ def _library() -> str:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        _remove_stale(path)
     _check_private(path, stat.S_ISREG)
     return path
-
-
-def _remove_stale(path: str) -> None:
-    """Delete the libraries that other sources built for this numpy: this
-    user's regular files named like `path` with another hash.  Symlinks and
-    other users' files stay; a file that a concurrent builder removed or
-    replaced first is left to it."""
-    directory, keep = os.path.split(path)
-    prefix = f"chain_kernel-{np.__version__}-"
-    with os.scandir(directory) as entries:
-        stale = [e for e in entries if e.name != keep and e.name.startswith(prefix)
-                 and e.name.endswith(".so")]
-    for entry in stale:
-        try:
-            info = entry.stat(follow_symlinks=False)
-            if stat.S_ISREG(info.st_mode) and info.st_uid == os.getuid():
-                os.unlink(entry.path)
-        except OSError:
-            pass
 
 
 def _self_check(kernel: Kernel) -> None:
@@ -283,9 +262,9 @@ def load() -> Optional[Kernel]:
         path = _library()
         lib = ctypes.CDLL(path)
         batch, collapse = lib.chain_batch, lib.collapse_steps
-        batch.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
-                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+        batch.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                          ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
+                          ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
         collapse.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                              ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
         batch.restype = ctypes.c_int

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .series import BetaSeries, whole
+from .series import BetaSeries, bit_generator_of, whole
 from .serialize import _write_text
 
 
@@ -172,8 +172,10 @@ def sample_poisson(n_vertices: int, series: BetaSeries,
     edge sits on an independently uniform j-subset, drawn with replacement
     across edges so repeated subsets accumulate multiplicity.  A size above
     N must have a zero coefficient: it draws no edge and leaves the stream
-    where it was.
+    where it was.  `rng` must be a `numpy.random.Generator` (TypeError
+    otherwise, before any draw), and a subclass draws as the base class.
     """
+    rng = np.random.Generator(bit_generator_of(rng))
     h = Hypergraph(n_vertices)
     if any(series.coeffs[h.n_vertices + 1:]):
         raise ValueError("series degree exceeds the vertex count")
@@ -266,13 +268,12 @@ def collapse_all(h: Hypergraph, rng: np.random.Generator,
     subclass draws as the base class; the patch loop runs in the compiled
     loop of `chain_kernel` when it loads, with the same draws and results.
     """
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    bit_generator = bit_generator_of(rng)
     from . import chain_kernel
 
     kernel = chain_kernel.load()
     steps = _collapse_steps if kernel is None else kernel.collapse
-    identified, trajectory = steps(h.n_vertices, h.sizes, h.ids, rng.bit_generator,
+    identified, trajectory = steps(h.n_vertices, h.sizes, h.ids, bit_generator,
                                    record_trajectory)
     stable = _without(h, identified)
     return CollapseOutcome(identified, stable, stable.stats().debris - h.stats().debris,

@@ -61,6 +61,15 @@ def whole(name: str, value) -> int:
     return int(value)
 
 
+def bit_generator_of(rng) -> np.random.BitGenerator:
+    """The bit generator of a `numpy.random.Generator`, which the package's
+    random loops draw from, so a subclass draws as the base class; anything
+    else is a TypeError."""
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    return rng.bit_generator
+
+
 @dataclass(frozen=True)
 class BetaSeries:
     """Non-negative polynomial coefficients (b0, ..., bD) of the edge-density series."""

@@ -363,6 +363,30 @@ class TestKernel:
         assert str(got) == str(want) and str(want).startswith("lam ")
         assert got_state == want_state
 
+    @pytest.mark.parametrize("seeded", [False, True], ids=["bit_generator", "seeds"])
+    def test_poisson_mean_at_numpys_limit(self, kernel, seeded):
+        # numpy's POISSON_LAM_MAX, as numpy derives it from the C long range
+        limit = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+        above = np.nextafter(limit, math.inf)
+        with pytest.raises(ValueError, match="^lam value too large$"):
+            np.random.Generator(np.random.PCG64(3)).poisson(above)
+        # one vertex, no fresh patches: every patch ends as debris
+        want = [[1, int(np.random.Generator(np.random.PCG64(3)).poisson(limit))]]
+        rates = np.zeros(1)
+        outcomes = []
+        for batch in (kernel.batch, chain._batch):
+            bit_generator = None if seeded else np.random.PCG64(3)
+            seeds = seed_words([3]) if seeded else None
+            counts = batch(1, rates, bit_generator, limit, 0.0, seeds=seeds)[0]
+            state = None if seeded else bit_generator.state
+            with pytest.raises(ValueError, match="^lam value too large$"):
+                batch(1, rates, bit_generator, above, 0.0, seeds=seeds)
+            # the rejected mean draws nothing
+            assert seeded or bit_generator.state == state
+            outcomes.append((counts.tolist(), state))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == want
+
     @pytest.mark.parametrize("bad", [1e300, math.nan, -1.0])
     def test_bad_debris_mean_raises_after_the_patches_draw(self, kernel, bad):
         # the patches are drawn before the debris mean is checked
@@ -586,20 +610,29 @@ class TestKernel:
         assert np.array_equal(got.trajectory, want.trajectory)
         assert os.listdir(cache) == []
 
-    def test_a_build_deletes_stale_libraries(self, kernel, fresh_loader):
+    def test_alternating_sources_keep_both_libraries(self, kernel, fresh_loader, monkeypatch,
+                                                     tmp_path):
+        # two checkouts whose sources differ, loaded in turn from one cache,
+        # build once each and leave each other's library alone
+        real = chain_kernel._SOURCE
+        edited = tmp_path / "chain_kernel.c"
+        with open(real) as fh:
+            edited.write_text(fh.read() + "/* another checkout */\n")
+        build = chain_kernel._build
+        builds = []
+
+        def counted(target):
+            builds.append(chain_kernel._SOURCE)
+            build(target)
+
+        monkeypatch.setattr(chain_kernel, "_build", counted)
         cache = fresh_loader()
-        cache.mkdir()
-        ours = f"chain_kernel-{np.__version__}-"
-        (cache / f"{ours}{'0' * 16}.so").write_bytes(b"an older source")
-        (cache / "target").write_bytes(b"not a library")
-        (cache / f"{ours}{'1' * 16}.so").symlink_to(cache / "target")
-        (cache / f"chain_kernel-0.0.0-{'2' * 16}.so").write_bytes(b"another numpy")
-        kept = {"target", f"{ours}{'1' * 16}.so", f"chain_kernel-0.0.0-{'2' * 16}.so"}
-        assert chain_kernel.load() is not None
-        built = set(os.listdir(cache)) - kept
-        assert len(built) == 1 and built.pop().startswith(ours)
-        assert kept <= set(os.listdir(cache))
-        assert (cache / "target").read_bytes() == b"not a library"
+        for source in (real, str(edited)) * 2:
+            monkeypatch.setattr(chain_kernel, "_SOURCE", source)
+            chain_kernel.load.cache_clear()
+            assert chain_kernel.load() is not None
+        assert builds == [real, str(edited)]
+        assert len(os.listdir(cache)) == 2
 
     def test_refuses_a_cache_others_can_write(self, fresh_loader):
         shared = fresh_loader()

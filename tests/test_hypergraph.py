@@ -164,6 +164,26 @@ class TestSamplePoisson:
         with pytest.raises(ValueError, match="need at least one vertex"):
             sample_poisson(0, BetaSeries((0, 0.5, 1.0)), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("make_rng", [lambda: None, lambda: np.random.RandomState(0)],
+                             ids=["None", "RandomState"])
+    def test_refuses_an_rng_that_is_not_a_generator(self, make_rng):
+        rng = make_rng()
+        with pytest.raises(TypeError, match="^rng must be a numpy.random.Generator, got "):
+            sample_poisson(6, BetaSeries((0.2, 0.3, 0.4)), rng)
+        # before any draw
+        if rng is not None:
+            assert rng.random_sample() == np.random.RandomState(0).random_sample()
+
+    def test_a_generator_subclass_draws_as_its_base_class(self):
+        # the subclass's own poisson and integers are not called
+        got_rng = OverriddenGenerator(np.random.PCG64(5))
+        want_rng = np.random.Generator(np.random.PCG64(5))
+        got, want = (sample_poisson(60, BetaSeries((0.2, 0.3, 0.4)), rng)
+                     for rng in (got_rng, want_rng))
+        assert want.stats().total > 0
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_vertex_count_past_int64_draws_nothing(self):
         rng = np.random.default_rng(4)
         before = plain(rng.bit_generator.state)
