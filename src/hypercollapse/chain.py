@@ -167,10 +167,9 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
     Starts with patches ~ Poisson(N*b1) and debris ~ Poisson(N*b0), steps
     until no patches remain.  Absorption happens by removed = N at the
     latest: with one vertex left every remaining patch sits on it.  The run
-    is a batch of one on `rng.bit_generator`: in the compiled loop of
-    `chain_kernel` when it loads, else in `_batch`, with the same draws and
-    results.  `rng` must be a `numpy.random.Generator` (TypeError
-    otherwise); a subclass draws as the base class.
+    is a batch of one on `rng.bit_generator`, in the loops of
+    `chain_kernel.loops()`.  `rng` must be a `numpy.random.Generator`
+    (TypeError otherwise); a subclass draws as the base class.
     """
     from . import chain_kernel
 
@@ -182,8 +181,7 @@ def run(n_vertices: int, series: BetaSeries, rng: np.random.Generator,
         # one vertex has no 2-subsets: no 2-edges, rate 0
         rate_table = edge_rate_curve(N, 2, series) if N > 1 else np.zeros(1)
     rates = np.ascontiguousarray(rate_table, dtype=np.float64)
-    kernel = chain_kernel.load()
-    counts, _, trajectory = (_batch if kernel is None else kernel.batch)(
+    counts, _, trajectory = chain_kernel.loops().batch(
         N, rates, bit_generator, N * series.coeff(1), N * series.coeff(0),
         record_trajectory=record_trajectory)
     removed, debris = counts[0].tolist()

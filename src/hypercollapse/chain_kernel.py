@@ -19,13 +19,12 @@ library is cached per user in `$XDG_CACHE_HOME/hypercollapse` (default
 `~/.cache/hypercollapse`) as `chain_kernel-<key>.so`, the key a hash of the
 source, the numpy version and the platform; every build stays under its
 key (about 65 KB each on x86-64 Linux), the directory may be emptied at any
-time, and only a build imports `subprocess`.  `load()`
-returns None, and every caller keeps its Python loop, when there is no
-compiler, the build fails, the cache directory is not private to this
-user, or the loaded library does not reproduce the Python loops draw for
+time, and only a build imports `subprocess`.  `load()` returns None when
+there is no compiler, the build fails, the cache directory is not private
+to this user, or the library does not reproduce the Python loops draw for
 draw on fixed replica batches, on a bit generator and from seeds, and a
-fixed hypergraph.  The reason is logged to the `hypercollapse.chain_kernel`
-logger.
+fixed hypergraph, and logs why to the `hypercollapse.chain_kernel` logger.
+Every caller takes its loops from `loops()`: the kernel, else `PYTHON_LOOPS`.
 """
 
 from __future__ import annotations
@@ -40,11 +39,12 @@ import stat
 import sysconfig
 import tempfile
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .chain import _batch_arguments
+from . import chain, hypergraph
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "chain_kernel.c")
 _NPYRANDOM = os.path.join(os.path.dirname(os.path.abspath(np.random.__file__)), "lib")
@@ -101,8 +101,8 @@ class Kernel:
         under the bit generator's lock, or, with `seeds` in its place, one
         replica per seed on a PCG64 that the compiled loop seeds as
         `np.random.PCG64` does, with no Python object per replica and no lock."""
-        m, seeds, fluid = _batch_arguments(n, rates, bit_generator, seeds, fluid,
-                                           record_trajectory)
+        m, seeds, fluid = chain._batch_arguments(n, rates, bit_generator, seeds, fluid,
+                                                 record_trajectory)
         counts = np.empty((m, 2), dtype=np.int64)
         deviations = None if fluid is None else np.empty(m)
         trajectory = np.empty((n + 1, 3), dtype=np.int64) if record_trajectory else None
@@ -141,6 +141,12 @@ class Kernel:
         # a copy, so that a short collapse does not keep the n + 1 rows alive
         return (identified[:removed],
                 None if trajectory is None else trajectory[:removed + 1].copy())
+
+
+# `Kernel`'s methods on the reference loops, looked up at each call
+PYTHON_LOOPS = SimpleNamespace(
+    batch=lambda *args, **kwargs: chain._batch(*args, **kwargs),
+    collapse=lambda *args: hypergraph._collapse_steps(*args))
 
 
 def _cache_dir() -> str:
@@ -212,9 +218,6 @@ def _self_check(kernel: Kernel) -> None:
     entry, where `Generator.integers(1)` draws nothing.  The same collapse
     runs once more with the fixed pick of `identifiable_set`.
     """
-    from .chain import _batch
-    from .hypergraph import _collapse_steps, _flat
-
     n = 24
     rates = np.linspace(0.2, 2.0, n)
     fluid = np.linspace(0.0, 60.0, 3 * (n + 1)).reshape(n + 1, 3)
@@ -224,7 +227,7 @@ def _self_check(kernel: Kernel) -> None:
     for means in ((3.0, 0.5), (2000.0, 0.5)):
         for seed_words, table in ((words, None), (words, fluid), (None, None)):
             outcomes = []
-            for batch in (kernel.batch, _batch):
+            for batch in (kernel.batch, PYTHON_LOOPS.batch):
                 bit_generator = np.random.PCG64(20_011) if seed_words is None else None
                 results = batch(n, rates, bit_generator, *means, table, seed_words is None,
                                 seeds=seed_words)
@@ -237,24 +240,23 @@ def _self_check(kernel: Kernel) -> None:
                     f"mean of {means[0]} patches{'' if seed_words is None else ' from seeds'}")
     # three patches on vertex 0 leave two stale entries; 6 and 7 stay
     edges = [(), (0,), (0,), (0,), (1,), (0, 2), (2, 3), (4, 5), (6, 7), (1, 3, 4), (5, 6, 7)]
-    sizes, ids = _flat(8, edges)
+    sizes, ids = hypergraph._flat(8, edges)
     got_bitgen, want_bitgen = np.random.PCG64(20_011), np.random.PCG64(20_011)
     got = kernel.collapse(8, sizes, ids, got_bitgen, True)
-    want = _collapse_steps(8, sizes, ids, want_bitgen, True)
+    want = PYTHON_LOOPS.collapse(8, sizes, ids, want_bitgen, True)
     if (got[0] != want[0] or not np.array_equal(got[1], want[1])
             or got_bitgen.state != want_bitgen.state):
         raise _SelfCheckError(f"{kernel.path} collapsed differently from the Python loop")
     # the fixed pick (no generator) removes 1, 0, 2, 3, 4, 5, then meets two stale entries
-    if kernel.collapse(8, sizes, ids, None, False)[0] != _collapse_steps(8, sizes, ids,
-                                                                         None, False)[0]:
+    if (kernel.collapse(8, sizes, ids, None, False)[0]
+            != PYTHON_LOOPS.collapse(8, sizes, ids, None, False)[0]):
         raise _SelfCheckError(f"{kernel.path} collapsed differently from the Python loop "
                               f"with the fixed pick")
 
 
 @functools.cache
 def load() -> Optional[Kernel]:
-    """The compiled loops, or None when `chain._batch` and
-    `hypergraph._collapse_steps` run instead."""
+    """The compiled loops, or None, when `loops()` gives `PYTHON_LOOPS`."""
     if os.name != "posix":
         log.info("no compiled chain kernel on %s; using the Python loops", os.name)
         return None
@@ -282,3 +284,9 @@ def load() -> Optional[Kernel]:
         return None
     log.info("chain kernel loaded from %s", path)
     return kernel
+
+
+def loops():
+    """The kernel when it loads, else `PYTHON_LOOPS`: the same draws and results."""
+    kernel = load()
+    return PYTHON_LOOPS if kernel is None else kernel

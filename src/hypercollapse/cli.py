@@ -135,10 +135,9 @@ def cmd_sweep(parser, args) -> int:
         config = replace(config, workers=args.threads)
     if args.delta is not None:
         config = replace(config, delta=args.delta)
-    outputs = doc.get("outputs") or {}  # null counts as absent, as for every key
-    results_csv = os.path.join(args.out, outputs.get("results_csv") or "results.csv")
-    aggregates_json = os.path.join(args.out,
-                                   outputs.get("aggregates_json") or "aggregates.json")
+    names = mc.output_names(doc)
+    results_csv = os.path.join(args.out, names["results_csv"])
+    aggregates_json = os.path.join(args.out, names["aggregates_json"])
     result = mc.run_replicas(config)
     rows = [(r.n_vertices, r.replica, r.seed, r.v_star_frac, r.debris_frac, r.stop_step)
             for r in result.records]

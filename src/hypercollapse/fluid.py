@@ -31,7 +31,7 @@ import numpy as np
 
 from .series import (BetaSeries, CriticalStructure, T_CAP, critical_structure,
                      deficiency, deficiency_grid, evaluate, evaluate_grid, real, whole)
-from .series import _check_grid, _check_t as _check_unit_t
+from .series import _check_grid, _check_t as _check_unit_t, _horner
 
 CURVE_COLUMNS = ("t", "x1", "x2", "x3", "f", "sigma_sq")
 # share of the removal range, at its end, that `patch_overlap_average` covers
@@ -92,10 +92,9 @@ def path(t: float, series: BetaSeries) -> np.ndarray:
 def path_grid(ts, series: BetaSeries) -> np.ndarray:
     """Vectorized `path`; rows are states, capped at t <= 1 - 1e-9."""
     ts = np.minimum(_check_grid(ts), T_CAP)
-    fs = deficiency_grid(series, ts)
     log1m = np.log1p(-ts)
-    vals = evaluate_grid(series, ts, 0)
-    return np.column_stack([ts, (1.0 - ts) * fs, vals - (1.0 - ts) * log1m])
+    return np.column_stack([ts, (1.0 - ts) * (_horner(series, ts, 1) + log1m),
+                            _horner(series, ts, 0) - (1.0 - ts) * log1m])
 
 
 def sigma_sq(t: float, series: BetaSeries) -> float:
@@ -205,7 +204,7 @@ def simulate_fluctuation(series: BetaSeries, t_end: float, n_steps: int,
 
     ts = np.linspace(0.0, t_end, n_steps + 1)
     slope = evaluate_grid(series, ts, 1)
-    var_m = (deficiency_grid(series, ts) + ts) / (1.0 - ts)
+    var_m = (slope + np.log1p(-ts) + ts) / (1.0 - ts)
     var_s = evaluate_grid(series, ts, 0) + (1.0 - ts) * slope
     d_m, d_s, d_c = (np.diff(v, prepend=0.0) for v in (var_m, var_s, slope))
     # tangency grazing within the tolerance can round these below zero

@@ -10,7 +10,7 @@ This module is the ground truth the reduced chain is validated against,
 so it keeps the random stream of its plain per-edge definitions: a subset
 is scalar `rng.integers(N)` draws until it has enough distinct ids (drawn
 in bulk by `_uniform_subsets`), a collapse step one `rng.integers(len(bag))`
-pick (compiled in `chain_kernel` when it loads, on the same draws).
+pick (in the loops of `chain_kernel.loops()`, on the same draws).
 
 A `Hypergraph` on at most 2**63 - 1 vertices stores its edge instances as
 the patch loop takes them: int64 arrays `sizes` (one per instance) and the
@@ -265,16 +265,14 @@ def collapse_all(h: Hypergraph, rng: np.random.Generator,
     The loop takes the instances in canonical order, so equal hypergraphs
     collapse alike under the same random stream.  `rng` must be a
     `numpy.random.Generator` (TypeError otherwise, before any work), and a
-    subclass draws as the base class; the patch loop runs in the compiled
-    loop of `chain_kernel` when it loads, with the same draws and results.
+    subclass draws as the base class; the patch loop runs in the loops of
+    `chain_kernel.loops()`.
     """
     bit_generator = bit_generator_of(rng)
     from . import chain_kernel
 
-    kernel = chain_kernel.load()
-    steps = _collapse_steps if kernel is None else kernel.collapse
-    identified, trajectory = steps(h.n_vertices, h.sizes, h.ids, bit_generator,
-                                   record_trajectory)
+    identified, trajectory = chain_kernel.loops().collapse(
+        h.n_vertices, h.sizes, h.ids, bit_generator, record_trajectory)
     stable = _without(h, identified)
     return CollapseOutcome(identified, stable, stable.stats().debris - h.stats().debris,
                            trajectory)
@@ -340,14 +338,12 @@ def identifiable_set(h: Hypergraph) -> set[int]:
     This is the set any full collapse removes, whatever its order and the
     edge multiplicities, so it is the patch loop of `collapse_all` run on
     the edge instances with the fixed pick (the last bag entry, no draw),
-    compiled when `chain_kernel` loads.  The empty edge is debris to the
-    loop and changes nothing.
+    in the loops of `chain_kernel.loops()`.  The empty edge is debris to
+    the loop and changes nothing.
     """
     from . import chain_kernel
 
-    kernel = chain_kernel.load()
-    steps = _collapse_steps if kernel is None else kernel.collapse
-    return set(steps(h.n_vertices, h.sizes, h.ids, None, False)[0])
+    return set(chain_kernel.loops().collapse(h.n_vertices, h.sizes, h.ids, None, False)[0])
 
 
 def write_hypergraph(h: Hypergraph, path: str) -> None:

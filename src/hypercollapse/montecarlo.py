@@ -3,11 +3,11 @@
 Every replica draws from its own PCG64 generator seeded by a fixed
 integer-mixing function of (master_seed, n_vertices, replica), so results
 are independent of scheduling and identical for any number of worker
-threads.  A replica batch passes the seeds, not generators: the compiled
-step loop seeds replica r's PCG64 from the same 128-bit seed by numpy's
-`PCG64` rule, with the same stream as `np.random.PCG64(seed)`, and runs
-the whole batch in one call, with no bit generator lock and outside the
-interpreter lock.
+threads.  A replica batch passes the seeds, not generators, to the loops
+of `chain_kernel.loops()`: each seeds replica r's PCG64 from the same
+128-bit seed, with the stream of `np.random.PCG64(seed)`, and the compiled
+loop runs the whole batch in one call, with no bit generator lock and
+outside the interpreter lock.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain import _batch, _seeds, edge_rate_curve
+from .chain import _seeds, edge_rate_curve
 from .fluid import path_grid
 from .series import (BetaSeries, DegenerateModelError, T_CAP, real, resolve_model,
                      whole)
@@ -179,16 +179,13 @@ def _replica_batch(series: BetaSeries, n_vertices: int, table: np.ndarray,
     the replica's trajectory; row k of a trajectory has removed = k, so it
     meets row k of the path.  The batch's seeds are derived at once, and
     the whole batch is one call on their words, with no bit generator and
-    no trajectory, to the compiled kernel when it loads, which seeds each
-    replica's PCG64 itself, else to its Python reference `chain._batch`,
-    on the same arguments.
+    no trajectory, to the loops of `chain_kernel.loops()`.
     """
     from . import chain_kernel
 
     words = _seed_words(master_seed, n_vertices, range(lo, hi))
     seeds = _seeds(words)
-    kernel = chain_kernel.load()
-    counts, deviations, _ = (_batch if kernel is None else kernel.batch)(
+    counts, deviations, _ = chain_kernel.loops().batch(
         n_vertices, table, None, n_vertices * series.coeff(1),
         n_vertices * series.coeff(0), fluid, seeds=words)
     runs = zip(*counts.T.tolist(),
@@ -257,7 +254,35 @@ def concentration_curve(config: ExperimentConfig, delta: float) -> list[tuple[in
 
 _CONFIG_KEYS = ("beta", "p", "alpha", "N_values", "replicas", "master_seed", "delta",
                 "record_trajectory", "workers", "outputs")
-_OUTPUT_KEYS = ("results_csv", "aggregates_json")
+# the CLI's sweep outputs, each with the file name it takes when absent
+_OUTPUTS = {"results_csv": "results.csv", "aggregates_json": "aggregates.json"}
+
+
+def output_names(doc: dict) -> dict[str, str]:
+    """The file names of a sweep document's `outputs`, defaults applied.
+
+    A name must be a file name: not empty, `.` or `..`, with no NUL, and
+    equal to its own `os.path.basename`; two outputs may not share one.  A
+    null name, or a null `outputs`, counts as absent.
+    """
+    outputs = doc.get("outputs")
+    outputs = {} if outputs is None else outputs
+    if not isinstance(outputs, dict):
+        raise ValueError(f"outputs must be a JSON object, got {outputs!r}")
+    unknown = sorted(set(outputs) - set(_OUTPUTS))
+    if unknown:
+        raise ValueError(f"unknown outputs keys {unknown}; known: {list(_OUTPUTS)}")
+    names = dict(_OUTPUTS)
+    for key, name in outputs.items():
+        if name is None:
+            continue
+        if (not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
+                or name != os.path.basename(name)):
+            raise ValueError(f"outputs {key} must be a file name, got {name!r}")
+        names[key] = name
+    if len(set(names.values())) < len(names):
+        raise ValueError(f"outputs must name different files, got {names}")
+    return names
 
 
 def config_from_json(doc: dict) -> ExperimentConfig:
@@ -266,10 +291,9 @@ def config_from_json(doc: dict) -> ExperimentConfig:
     The model comes either from explicit coefficients ("beta": [b0, ...])
     or from the graph shorthand ("p" and "alpha").  Recognized keys:
     N_values, replicas, master_seed, delta, record_trajectory, workers,
-    and the CLI's outputs, an object of file names under `_OUTPUT_KEYS`;
-    any other key is an error.  The counts must be whole numbers: 1e5 is
-    one, 2.5, true and "3" are not.  A key whose value is null counts as
-    absent, in outputs too.
+    and the CLI's outputs, checked by `output_names`; any other key is an
+    error.  The counts must be whole numbers: 1e5 is one, 2.5, true and "3"
+    are not.  A key whose value is null counts as absent, in outputs too.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
@@ -283,15 +307,7 @@ def config_from_json(doc: dict) -> ExperimentConfig:
                                            doc["master_seed"])
     except KeyError as missing:
         raise ValueError(f"config is missing required key {missing}") from None
-    outputs = doc.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ValueError(f"outputs must be a JSON object, got {outputs!r}")
-    unknown = sorted(set(outputs) - set(_OUTPUT_KEYS))
-    if unknown:
-        raise ValueError(f"unknown outputs keys {unknown}; known: {list(_OUTPUT_KEYS)}")
-    for key, name in outputs.items():
-        if not isinstance(name, (str, type(None))):
-            raise ValueError(f"outputs {key} must be a file name, got {name!r}")
+    output_names(doc)
     return ExperimentConfig(
         series=series,
         n_values=n_values,

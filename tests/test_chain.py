@@ -5,14 +5,17 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hypercollapse import (BetaSeries, ExperimentConfig, chain, chain_kernel,
                            collapse_all, critical_alpha, edge_rate_curve,
-                           from_binomial_family, from_graph_params, hypergraph, run,
-                           run_replicas, sample_poisson)
+                           from_binomial_family, from_graph_params, hypergraph,
+                           identifiable_set, run, run_replicas, sample_poisson)
 from helpers import (OverriddenGenerator, absorption_law, exact_edge_rate,
                      first_negative_root, plain, tv_distance)
 
@@ -593,8 +596,59 @@ class TestKernel:
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on PATH")
         assert chain_kernel.load() is not None
+        h = sample_poisson(60, EX1, np.random.default_rng(2))
         monkeypatch.setattr(chain, "_batch", None)
+        monkeypatch.setattr(hypergraph, "_collapse_steps", None)
         assert run(200, EX1, np.random.default_rng(1)).removed > 0
+        for workers in (1, 2):
+            config = ExperimentConfig(EX1, (200, 300), 5, master_seed=4, delta=0.05,
+                                      workers=workers)
+            assert len(run_replicas(config).records) == 10
+        assert collapse_all(h, np.random.default_rng(3)).identified
+        assert identifiable_set(h)
+
+    @pytest.mark.parametrize("load", [chain_kernel.load, lambda: None],
+                             ids=["kernel", "python"])
+    def test_every_entry_takes_its_loops_from_loops(self, load, monkeypatch):
+        # each entry reaches its loop through chain_kernel.loops() alone, with
+        # the outputs of the unwrapped loops
+        monkeypatch.setattr(chain_kernel, "load", load)
+        loops = chain_kernel.loops()
+        assert loops is (chain_kernel.PYTHON_LOOPS if load() is None else load())
+        h = sample_poisson(60, EX1, np.random.default_rng(2))
+        config = ExperimentConfig(EX1, (200, 300), 5, master_seed=4, delta=0.05)
+
+        def chain_run():
+            result = run(200, EX1, np.random.default_rng(1), record_trajectory=True)
+            return result.removed, result.debris, result.trajectory.tolist()
+
+        def sweep(workers):
+            result = run_replicas(replace(config, workers=workers))
+            return result.records, result.aggregates
+
+        def collapse():
+            out = collapse_all(h, np.random.default_rng(3), record_trajectory=True)
+            return (out.identified, out.stable.sizes.tolist(), out.stable.ids.tolist(),
+                    out.identifiable_edge_count, out.trajectory.tolist())
+
+        entries = [("batch", chain_run), ("batch", partial(sweep, 1)),
+                   ("batch", partial(sweep, 2)), ("collapse", collapse),
+                   ("collapse", partial(identifiable_set, h))]
+        want = [entry() for _, entry in entries]
+        calls = []
+
+        def recorded(kind):
+            def call(*args, **kwargs):
+                calls.append(kind)
+                return getattr(loops, kind)(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(chain_kernel, "loops", lambda: SimpleNamespace(
+            batch=recorded("batch"), collapse=recorded("collapse")))
+        for (kind, entry), expected in zip(entries, want):
+            calls.clear()
+            assert entry() == expected
+            assert calls and set(calls) == {kind}
 
     def test_failed_build_falls_back_to_reference(self, kernel, fresh_loader, monkeypatch):
         want = run(1000, EX1, np.random.default_rng(3), record_trajectory=True)

@@ -258,6 +258,17 @@ class TestSweep:
          "unknown outputs keys ['result_csv']"),
         ({**SMALL_SWEEP, "outputs": {"results_csv": 5}},
          "outputs results_csv must be a file name, got 5"),
+        ({**SMALL_SWEEP, "outputs": {"results_csv": ""}},
+         "outputs results_csv must be a file name, got ''"),
+        ({**SMALL_SWEEP, "outputs": {"aggregates_json": ".."}},
+         "outputs aggregates_json must be a file name, got '..'"),
+        ({**SMALL_SWEEP, "outputs": {"results_csv": "sub/r.csv"}},
+         "outputs results_csv must be a file name, got 'sub/r.csv'"),
+        ({**SMALL_SWEEP, "outputs": {"results_csv": "/no/such/dir/r.csv"}},
+         "outputs results_csv must be a file name, got '/no/such/dir/r.csv'"),
+        ({**SMALL_SWEEP, "outputs": {"results_csv": "x", "aggregates_json": "x"}},
+         "outputs must name different files, got "
+         "{'results_csv': 'x', 'aggregates_json': 'x'}"),
     ])
     def test_config_mistakes_are_runtime_errors(self, tmp_path, capsys, doc, message):
         cpath = tmp_path / "config.json"

@@ -8,8 +8,8 @@ from scipy.stats import norm
 
 from hypercollapse import (BetaSeries, CriticalStructure, FluidModel,
                            critical_alpha, critical_structure,
-                           deficiency, diffusion_factors, drift,
-                           edge_rate_curve, evaluate, from_binomial_family,
+                           deficiency, deficiency_grid, diffusion_factors, drift,
+                           edge_rate_curve, evaluate, evaluate_grid, from_binomial_family,
                            from_graph_params, limit_fractions,
                            patch_overlap_average, path, path_grid, run,
                            sample_limit_fraction, sigma_sq,
@@ -114,6 +114,18 @@ class TestPath:
         grid = path_grid(ts, EX2_SUB)
         scalars = np.array([path(float(t), EX2_SUB) for t in ts])
         assert np.allclose(grid, scalars, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("series", [EX1, EX2_SUB], ids=["EX1", "family_1185"])
+    def test_grid_equals_its_defining_expressions(self, series):
+        # bit for bit, on points within 1e-9 of the cap and past it too
+        rng = np.random.default_rng(11)
+        ts = np.concatenate([rng.random(2000), T_CAP - 1e-9 * rng.random(200),
+                             [0.0, T_CAP, 1.0 - 1e-12]])
+        capped = np.minimum(ts, T_CAP)
+        want = np.column_stack([capped, (1.0 - capped) * deficiency_grid(series, capped),
+                                evaluate_grid(series, capped, 0)
+                                - (1.0 - capped) * np.log1p(-capped)])
+        assert path_grid(ts, series).tobytes() == want.tobytes()
 
 
 class TestLimitFractions:

@@ -198,6 +198,24 @@ class TestExperimentConfig:
         ({**SMALL, "outputs": {"result_csv": "mine.csv"}},
          r"unknown outputs keys \['result_csv'\]"),
         ({**SMALL, "outputs": {"results_csv": 5}}, "outputs results_csv must be a file name"),
+        ({**SMALL, "outputs": {"results_csv": ""}},
+         "outputs results_csv must be a file name, got ''"),
+        ({**SMALL, "outputs": {"results_csv": "."}},
+         r"outputs results_csv must be a file name, got '\.'"),
+        ({**SMALL, "outputs": {"aggregates_json": ".."}},
+         r"outputs aggregates_json must be a file name, got '\.\.'"),
+        ({**SMALL, "outputs": {"results_csv": "sub/r.csv"}},
+         "outputs results_csv must be a file name, got 'sub/r.csv'"),
+        ({**SMALL, "outputs": {"results_csv": "/no/such/dir/r.csv"}},
+         "outputs results_csv must be a file name, got '/no/such/dir/r.csv'"),
+        ({**SMALL, "outputs": {"aggregates_json": "agg/"}},
+         "outputs aggregates_json must be a file name, got 'agg/'"),
+        ({**SMALL, "outputs": {"results_csv": "x", "aggregates_json": "x"}},
+         "outputs must name different files"),
+        ({**SMALL, "outputs": {"results_csv": "aggregates.json"}},
+         "outputs must name different files"),
+        ({**SMALL, "outputs": {"results_csv": "r\0.csv"}},
+         r"outputs results_csv must be a file name, got 'r\\x00\.csv'"),
     ])
     def test_from_json_rejects_malformed_documents(self, doc, message):
         with pytest.raises(ValueError, match=message):
