@@ -1,7 +1,8 @@
-/* The two random loops of the package, compiled: the reduced collapse
+/* The three random loops of the package, compiled: the reduced collapse
  * chain, run for a whole batch of replicas (chain.run is a batch of one,
- * montecarlo's replica batches are the others), and the patch loop of the
- * exact collapse (hypergraph.collapse_all, and with a fixed pick
+ * montecarlo's replica batches are the others), the uniform subsets of one
+ * edge size of hypergraph.sample_poisson, and the patch loop of the exact
+ * collapse (hypergraph.collapse_all, and with a fixed pick
  * hypergraph.identifiable_set).
  *
  * Each draws with numpy's own routines on a bitgen_t: random_binomial and
@@ -151,7 +152,7 @@ void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
                                 uint64_t *out);
 
 enum { OK = 0, LAM_NAN_OR_NEGATIVE = 1, LAM_TOO_LARGE = 2, COUNT_OVERFLOW = 3,
-       NO_MEMORY = 4, BAD_EDGES = 5 };
+       NO_MEMORY = 4, BAD_EDGES = 5, BAD_SUBSETS = 6 };
 
 /* Generator.poisson(lam): its checks on the mean, in its order, then its
  * draw into *count; a failed check returns its status before any draw.
@@ -261,6 +262,51 @@ int chain_batch(int64_t n, const double *rates, int64_t count,
         if (fluid)
             deviation[r] = dev;
     }
+    return OK;
+}
+
+/* Draw count uniform size-subsets of [0, n), one after another, into out
+ * (count * size int64): each takes random_bounded_uint64_fill draws on
+ * [0, n - 1], the draws of Generator.integers(n), until it holds size
+ * distinct ids, which go to out in the order first drawn.  A hash table of
+ * at least 2 * size slots finds the repeats; each slot records the subset
+ * that filled it, so a slot of an earlier subset counts as empty and the
+ * table is never cleared.  out holds at least size int64, so 2 * size does
+ * not overflow size_t.  Returns OK, NO_MEMORY, or BAD_SUBSETS, before
+ * any draw, when n < 1, size < 0, size > n or count < 0: no subset could
+ * be drawn. */
+int uniform_subsets(int64_t n, int64_t size, int64_t count, bitgen_t *bitgen,
+                    int64_t *out)
+{
+    if (n < 1 || size < 0 || size > n || count < 0)
+        return BAD_SUBSETS;
+    if (size == 0 || count == 0)
+        return OK;
+    int bits = 1;
+    while ((size_t)1 << bits < 2 * (size_t)size)
+        bits++;
+    size_t mask = ((size_t)1 << bits) - 1;
+    struct slot { uint64_t id; int64_t subset; } *table = calloc(mask + 1,
+                                                                 sizeof *table);
+    if (!table)
+        return NO_MEMORY;
+    for (int64_t s = 1; s <= count; s++) {
+        for (int64_t held = 0; held < size;) {
+            uint64_t v;
+            random_bounded_uint64_fill(bitgen, 0, (uint64_t)n - 1, 1, false, &v);
+            /* Fibonacci hashing: the top bits of v times 2**64 / phi */
+            size_t i = (size_t)(v * 0x9e3779b97f4a7c15ULL >> (64 - bits));
+            while (table[i].subset == s && table[i].id != v)
+                i = (i + 1) & mask;
+            if (table[i].subset != s) {
+                table[i].id = v;
+                table[i].subset = s;
+                *out++ = (int64_t)v;
+                held++;
+            }
+        }
+    }
+    free(table);
     return OK;
 }
 

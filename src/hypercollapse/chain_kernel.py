@@ -8,22 +8,24 @@ A batch is one replica on one bit generator, under its lock, as
 of 128-bit seeds, low words then high words, the C code seeds each
 replica's PCG64 on its stack as `np.random.PCG64(seed)` does, with no
 Python object per replica and no lock, as `montecarlo` runs its replica
-batches.  The file also holds the patch loop of
-`hypergraph.collapse_all` and, with a fixed pick, `identifiable_set`, on a
-`Hypergraph`'s two int64 edge arrays.  It is compiled with the system C
-compiler (`cc`) and linked against numpy's `libnpyrandom.a`, so each loop
-draws with the routines `Generator.binomial`, `Generator.poisson` and
-`Generator.integers` use, on the Generator's own bit generator or the
-PCG64 it seeded: the random stream and every output stay the same.  The
-library is cached per user in `$XDG_CACHE_HOME/hypercollapse` (default
-`~/.cache/hypercollapse`) as `chain_kernel-<key>.so`, the key a hash of the
-source, the numpy version and the platform; every build stays under its
-key (about 65 KB each on x86-64 Linux), the directory may be emptied at any
-time, and only a build imports `subprocess`.  `load()` returns None when
-there is no compiler, the build fails, the cache directory is not private
-to this user, or the library does not reproduce the Python loops draw for
-draw on fixed replica batches, on a bit generator and from seeds, and a
-fixed hypergraph, and logs why to the `hypercollapse.chain_kernel` logger.
+batches.  The file holds two loops more, three in all: the uniform
+subsets of one edge size that `hypergraph.sample_poisson` draws, and the
+patch loop of `hypergraph.collapse_all` and, with a fixed pick,
+`identifiable_set`, on a `Hypergraph`'s two int64 edge arrays.  It is
+compiled with the system C compiler (`cc`) and linked against numpy's
+`libnpyrandom.a`, so each loop draws with the routines
+`Generator.binomial`, `Generator.poisson` and `Generator.integers` use, on
+the Generator's own bit generator or the PCG64 it seeded: the random
+stream and every output stay the same.  The library is cached per user in
+`$XDG_CACHE_HOME/hypercollapse` (default `~/.cache/hypercollapse`) as
+`chain_kernel-<key>.so`, the key a hash of the source, the numpy version
+and the platform; every build stays under its key (about 65 KB each on
+x86-64 Linux), the directory may be emptied at any time, and only a build
+imports `subprocess`.  `load()` returns None when there is no compiler,
+the build fails, the cache directory is not private to this user, or the
+library does not reproduce the Python loops draw for draw on fixed replica
+batches, on a bit generator and from seeds, fixed subsets and a fixed
+hypergraph, and logs why to the `hypercollapse.chain_kernel` logger.
 Every caller takes its loops from `loops()`: the kernel, else `PYTHON_LOOPS`.
 """
 
@@ -53,8 +55,9 @@ _FAILURES = {
     1: (ValueError, "lam < 0 or lam is NaN"),
     2: (ValueError, "lam value too large"),
     3: (OverflowError, "chain counts exceed the int64 range"),
-    4: (MemoryError, "no memory for the collapse"),
+    4: (MemoryError, "no memory for the collapse or the subsets"),
     5: (ValueError, "edge sizes do not match the vertex ids, or an id is out of range"),
+    6: (ValueError, hypergraph._NO_SUBSETS),
 }
 
 # a private prototype, so that no other user of ctypes.pythonapi is affected
@@ -85,11 +88,13 @@ def _bitgen(bit_generator: np.random.BitGenerator) -> int:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A loaded library; `batch` is a drop-in for `chain._batch`, and
-    `collapse` is a drop-in for `hypergraph._collapse_steps`."""
+    """A loaded library; `batch` is a drop-in for `chain._batch`, `subsets`
+    for `hypergraph._uniform_subsets` and `collapse` for
+    `hypergraph._collapse_steps`."""
 
     path: str
     _batch: ctypes._CFuncPtr = field(repr=False, compare=False)
+    _subsets: ctypes._CFuncPtr = field(repr=False, compare=False)
     _collapse: ctypes._CFuncPtr = field(repr=False, compare=False)
 
     def batch(self, n: int, rates: np.ndarray,
@@ -121,6 +126,18 @@ class Kernel:
         return (counts, deviations,
                 None if trajectory is None else trajectory[:counts[0, 0] + 1].copy())
 
+    def subsets(self, n: int, size: int, count: int, bit_generator: np.random.BitGenerator):
+        """`hypergraph._uniform_subsets` in one call, with the same draws,
+        under the bit generator's lock."""
+        # ctypes passes its arrays by address, cheaper than `ndarray.ctypes`; the C
+        # loop refuses a negative count or size before it writes to the array
+        out = (ctypes.c_int64 * max(count * size, 0))()
+        with bit_generator.lock:
+            status = self._subsets(n, size, count, _bitgen(bit_generator), out)
+        if status:
+            _raise(status)
+        return np.frombuffer(out, np.int64)
+
     def collapse(self, n: int, sizes: np.ndarray, ids: np.ndarray,
                  bit_generator: Optional[np.random.BitGenerator], record_trajectory: bool):
         """`hypergraph._collapse_steps` on a `Hypergraph`'s C-contiguous int64
@@ -146,6 +163,7 @@ class Kernel:
 # `Kernel`'s methods on the reference loops, looked up at each call
 PYTHON_LOOPS = SimpleNamespace(
     batch=lambda *args, **kwargs: chain._batch(*args, **kwargs),
+    subsets=lambda *args: hypergraph._uniform_subsets(*args),
     collapse=lambda *args: hypergraph._collapse_steps(*args))
 
 
@@ -203,8 +221,8 @@ def _library() -> str:
 
 
 def _self_check(kernel: Kernel) -> None:
-    """Run fixed replica batches and a fixed collapse through the kernel
-    and through the Python loops.
+    """Run fixed replica batches, fixed subsets and a fixed collapse
+    through the kernel and through the Python loops.
 
     Batches on 24 vertices: many patches (a mean of 2000) take numpy's
     BTPE binomial branch, few (a mean of 3) its inversion branch, the last
@@ -214,6 +232,9 @@ def _self_check(kernel: Kernel) -> None:
     words, which `Kernel.batch` seeds in C and `chain._batch` with
     `np.random.PCG64`, without and with a fluid table, and a batch of one
     on a PCG64 with its trajectory, as `chain.run` makes it.
+    The subsets take numpy's three bounded draws: 3 of 5 ids, with many
+    repeats, on 32-bit Lemire draws; 2 of 2**32 ids on raw 32-bit draws;
+    2 of 2**40 + 3 on 64-bit Lemire draws.
     The collapse leaves stale entries in its bag, and its bag falls to one
     entry, where `Generator.integers(1)` draws nothing.  The same collapse
     runs once more with the fixed pick of `identifiable_set`.
@@ -238,6 +259,15 @@ def _self_check(kernel: Kernel) -> None:
                 raise _SelfCheckError(
                     f"{kernel.path} drew differently from the Python loop in a batch with a "
                     f"mean of {means[0]} patches{'' if seed_words is None else ' from seeds'}")
+    got_bitgen, want_bitgen = np.random.PCG64(20_011), np.random.PCG64(20_011)
+    for n_ids, size, count in ((5, 3, 40), (2**32, 2, 3), (2**40 + 3, 2, 3)):
+        if (kernel.subsets(n_ids, size, count, got_bitgen).tolist()
+                != PYTHON_LOOPS.subsets(n_ids, size, count, want_bitgen).tolist()):
+            raise _SelfCheckError(f"{kernel.path} drew {count} subsets of {size} of {n_ids} "
+                                  f"ids differently from the Python loop")
+    if got_bitgen.state != want_bitgen.state:
+        raise _SelfCheckError(f"{kernel.path} left the bit generator elsewhere than the "
+                              f"Python loop after the subsets")
     # three patches on vertex 0 leave two stale entries; 6 and 7 stay
     edges = [(), (0,), (0,), (0,), (1,), (0, 2), (2, 3), (4, 5), (6, 7), (1, 3, 4), (5, 6, 7)]
     sizes, ids = hypergraph._flat(8, edges)
@@ -263,15 +293,17 @@ def load() -> Optional[Kernel]:
     try:
         path = _library()
         lib = ctypes.CDLL(path)
-        batch, collapse = lib.chain_batch, lib.collapse_steps
+        batch, subsets, collapse = lib.chain_batch, lib.uniform_subsets, lib.collapse_steps
         batch.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
                           ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+        subsets.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                            ctypes.c_void_p]
         collapse.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
                              ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-        batch.restype = ctypes.c_int
+        batch.restype = subsets.restype = ctypes.c_int
         collapse.restype = ctypes.c_int64
-        kernel = Kernel(path, batch, collapse)
+        kernel = Kernel(path, batch, subsets, collapse)
         _self_check(kernel)
     except _CompileError as exc:
         log.info("chain kernel build failed, using the Python loops:\n%s", exc)

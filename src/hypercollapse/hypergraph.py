@@ -8,9 +8,10 @@ conservation is the bookkeeping backbone of the whole model.
 
 This module is the ground truth the reduced chain is validated against,
 so it keeps the random stream of its plain per-edge definitions: a subset
-is scalar `rng.integers(N)` draws until it has enough distinct ids (drawn
-in bulk by `_uniform_subsets`), a collapse step one `rng.integers(len(bag))`
-pick (in the loops of `chain_kernel.loops()`, on the same draws).
+is scalar `rng.integers(N)` draws until it has enough distinct ids, a
+collapse step one `rng.integers(len(bag))` pick.  Both are drawn by the
+loops of `chain_kernel.loops()`, on the same draws: the subsets of one
+edge size in one call, the picks of one collapse in another.
 
 A `Hypergraph` on at most 2**63 - 1 vertices stores its edge instances as
 the patch loop takes them: int64 arrays `sizes` (one per instance) and the
@@ -179,39 +180,55 @@ def sample_poisson(n_vertices: int, series: BetaSeries,
     h = Hypergraph(n_vertices)
     if any(series.coeffs[h.n_vertices + 1:]):
         raise ValueError("series degree exceeds the vertex count")
-    sizes, ids = [], []
+    from . import chain_kernel
+
+    subsets = chain_kernel.loops().subsets
+    sizes, ids = [], [_NO_EDGES[1]]  # np.concatenate needs an array, ids or not
     for j, bj in enumerate(series.coeffs):
         count = int(rng.poisson(n_vertices * bj))
         sizes += [j] * count
-        ids += _uniform_subsets(n_vertices, j, count, rng)
-    h.sizes, h.ids = _canonical(*(np.array(a, np.int64) for a in (sizes, ids)))
+        if count and j:
+            ids.append(subsets(n_vertices, j, count, rng.bit_generator))
+    h.sizes, h.ids = _canonical(np.array(sizes, np.int64), np.concatenate(ids))
     return h
 
 
-def _uniform_subsets(n: int, size: int, count: int, rng: np.random.Generator) -> list[int]:
-    """The ids of `count` uniform `size`-subsets of range(n), in draw order,
-    one flat list; each subset's ids come in set order.
+_NO_SUBSETS = "no such subsets: need n >= 1, 0 <= size <= n and count >= 0"
 
-    Each subset takes `rng.integers(n)` draws until it holds `size`
-    distinct ids.  The draws come in bulk, each time the least that the
-    subsets still to come must use, so the stream ends where the
-    one-draw-at-a-time loop ends: `rng.integers(n, size=k)` gives the
-    draws, and leaves the bit-generator state, of k scalar calls.
+
+def _uniform_subsets(n: int, size: int, count: int,
+                     bit_generator: np.random.BitGenerator) -> np.ndarray:
+    """The ids of `count` uniform `size`-subsets of range(n), in draw order,
+    as one int64 array; each subset's ids come in the order first drawn.
+
+    Each subset takes `rng.integers(n)` draws, `rng` a `Generator` on
+    `bit_generator`, until it holds `size` distinct ids.  The draws come in
+    bulk, each time the least that the subsets still to come must use, so
+    the stream ends where the one-draw-at-a-time loop ends:
+    `rng.integers(n, size=k)` gives the draws, and leaves the bit-generator
+    state, of k scalar calls.  n < 1, size < 0, size > n or count < 0
+    raise ValueError before any draw: no such subsets exist, and with
+    size > n the loop would not end.  The reference loop: `chain_kernel.c` draws the same
+    subsets with the same draws; tests and the kernel's load-time check
+    compare the two.
     """
+    if n < 1 or not 0 <= size <= n or count < 0:
+        raise ValueError(_NO_SUBSETS)
+    rng = np.random.Generator(bit_generator)
     subsets: list[int] = []
     draws: list[int] = []
     pos = 0
     for i in range(count):
         later = (count - 1 - i) * size  # what the subsets after this one must use
-        picked: set[int] = set()
+        picked: dict[int, None] = {}  # a set that keeps the order first drawn
         while len(picked) < size:
             if pos == len(draws):
                 draws = rng.integers(n, size=size - len(picked) + later).tolist()
                 pos = 0
-            picked.add(draws[pos])
+            picked[draws[pos]] = None
             pos += 1
         subsets += picked
-    return subsets
+    return np.array(subsets, np.int64)
 
 
 def _without(h: Hypergraph, removed: list[int]) -> Hypergraph:

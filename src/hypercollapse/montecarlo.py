@@ -256,12 +256,14 @@ _CONFIG_KEYS = ("beta", "p", "alpha", "N_values", "replicas", "master_seed", "de
                 "record_trajectory", "workers", "outputs")
 # the CLI's sweep outputs, each with the file name it takes when absent
 _OUTPUTS = {"results_csv": "results.csv", "aggregates_json": "aggregates.json"}
+_NAME_MAX = 255  # bytes in a file name: NAME_MAX of Linux and the BSDs
 
 
 def output_names(doc: dict) -> dict[str, str]:
     """The file names of a sweep document's `outputs`, defaults applied.
 
-    A name must be a file name: not empty, `.` or `..`, with no NUL, and
+    A name must be a file name: not empty, `.` or `..`, with no NUL, at
+    most `_NAME_MAX` bytes in the file-system encoding, and
     equal to its own `os.path.basename`; two outputs may not share one.  A
     null name, or a null `outputs`, counts as absent.
     """
@@ -277,7 +279,7 @@ def output_names(doc: dict) -> dict[str, str]:
         if name is None:
             continue
         if (not isinstance(name, str) or name in ("", ".", "..") or "\0" in name
-                or name != os.path.basename(name)):
+                or len(os.fsencode(name)) > _NAME_MAX or name != os.path.basename(name)):
             raise ValueError(f"outputs {key} must be a file name, got {name!r}")
         names[key] = name
     if len(set(names.values())) < len(names):

@@ -599,6 +599,8 @@ class TestKernel:
         h = sample_poisson(60, EX1, np.random.default_rng(2))
         monkeypatch.setattr(chain, "_batch", None)
         monkeypatch.setattr(hypergraph, "_collapse_steps", None)
+        monkeypatch.setattr(hypergraph, "_uniform_subsets", None)
+        assert sample_poisson(60, EX1, np.random.default_rng(2)) == h
         assert run(200, EX1, np.random.default_rng(1)).removed > 0
         for workers in (1, 2):
             config = ExperimentConfig(EX1, (200, 300), 5, master_seed=4, delta=0.05,
@@ -631,8 +633,13 @@ class TestKernel:
             return (out.identified, out.stable.sizes.tolist(), out.stable.ids.tolist(),
                     out.identifiable_edge_count, out.trajectory.tolist())
 
+        def sample():
+            rng = np.random.default_rng(2)
+            sampled = sample_poisson(60, EX1, rng)
+            return sampled.sizes.tolist(), sampled.ids.tolist(), rng.bit_generator.state
+
         entries = [("batch", chain_run), ("batch", partial(sweep, 1)),
-                   ("batch", partial(sweep, 2)), ("collapse", collapse),
+                   ("batch", partial(sweep, 2)), ("subsets", sample), ("collapse", collapse),
                    ("collapse", partial(identifiable_set, h))]
         want = [entry() for _, entry in entries]
         calls = []
@@ -644,7 +651,8 @@ class TestKernel:
             return call
 
         monkeypatch.setattr(chain_kernel, "loops", lambda: SimpleNamespace(
-            batch=recorded("batch"), collapse=recorded("collapse")))
+            batch=recorded("batch"), subsets=recorded("subsets"),
+            collapse=recorded("collapse")))
         for (kind, entry), expected in zip(entries, want):
             calls.clear()
             assert entry() == expected

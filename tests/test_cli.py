@@ -249,6 +249,14 @@ class TestSweep:
         assert main(["sweep", str(cpath), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted(written)
 
+    def test_an_output_name_of_255_bytes_is_written(self, tmp_path):
+        name = "r" * 251 + ".csv"
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps({**SMALL_SWEEP, "outputs": {"results_csv": name}}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(cpath), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted([name, "aggregates.json"])
+
     @pytest.mark.parametrize("doc, message", [
         ({**SMALL_SWEEP, "deltaa": 0.05}, "unknown config keys ['deltaa']"),
         ({**SMALL_SWEEP, "N_values": [200.7]}, "N_values must be a whole number, got 200.7"),
@@ -269,6 +277,9 @@ class TestSweep:
         ({**SMALL_SWEEP, "outputs": {"results_csv": "x", "aggregates_json": "x"}},
          "outputs must name different files, got "
          "{'results_csv': 'x', 'aggregates_json': 'x'}"),
+        # one byte more than a file name holds: refused before the sweep runs
+        ({**SMALL_SWEEP, "outputs": {"results_csv": "r" * 252 + ".csv"}},
+         f"outputs results_csv must be a file name, got '{'r' * 252}.csv'"),
     ])
     def test_config_mistakes_are_runtime_errors(self, tmp_path, capsys, doc, message):
         cpath = tmp_path / "config.json"

@@ -144,6 +144,8 @@ class TestSamplePoisson:
         cases = [(n, seed, tuple(2.0 / (1 + j) for j in range(n + 1)))
                  for n in range(2, 9) for seed in range(6)]
         cases.append((30_000, 0, (0.05, 0.3, 0.6, 0.4)))
+        # numpy's bounded draw on raw 32-bit words (n = 2**32) and on 64-bit words
+        cases += [(2**32, 1, (0.0, 2e-9, 3e-9, 1e-9)), (2**32 + 1, 2, (0.0, 2e-9, 3e-9, 1e-9))]
         for n, seed, coeffs in cases:
             got_rng, want_rng = (np.random.Generator(bit_generator(seed)) for _ in "ab")
             h = sample_poisson(n, BetaSeries(coeffs), got_rng)
@@ -163,6 +165,19 @@ class TestSamplePoisson:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         with pytest.raises(ValueError, match="need at least one vertex"):
             sample_poisson(0, BetaSeries((0, 0.5, 1.0)), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("load", [chain_kernel.load, lambda: None],
+                             ids=["kernel", "python"])
+    @pytest.mark.parametrize("n, size, count", [(3, 4, 1), (0, 0, 1), (3, -1, 1), (3, 1, -1)])
+    def test_subsets_that_cannot_be_drawn_raise_before_any_draw(self, monkeypatch, load,
+                                                                n, size, count):
+        # the loop would not end: no call may hang where no subset exists
+        monkeypatch.setattr(chain_kernel, "load", load)
+        bit_generator = np.random.PCG64(7)
+        with pytest.raises(ValueError, match=r"^no such subsets: need n >= 1, "
+                                             r"0 <= size <= n and count >= 0$"):
+            chain_kernel.loops().subsets(n, size, count, bit_generator)
+        assert bit_generator.state == np.random.PCG64(7).state
 
     @pytest.mark.parametrize("make_rng", [lambda: None, lambda: np.random.RandomState(0)],
                              ids=["None", "RandomState"])

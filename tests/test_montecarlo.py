@@ -216,6 +216,9 @@ class TestExperimentConfig:
          "outputs must name different files"),
         ({**SMALL, "outputs": {"results_csv": "r\0.csv"}},
          r"outputs results_csv must be a file name, got 'r\\x00\.csv'"),
+        # 256 bytes in UTF-8, one more than a file name holds, in 130 characters
+        ({**SMALL, "outputs": {"results_csv": "\u00e9" * 126 + ".csv"}},
+         "outputs results_csv must be a file name, got '\u00e9{126}\\.csv'"),
     ])
     def test_from_json_rejects_malformed_documents(self, doc, message):
         with pytest.raises(ValueError, match=message):

@@ -11,12 +11,13 @@ from itertools import chain as chained
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypercollapse import (BetaSeries, ExperimentConfig, Hypergraph, chain, chain_kernel,
                            collapse_all, edge_rate_curve, hypergraph, identifiable_set,
-                           read_hypergraph, remove_vertex, run_replicas, write_hypergraph)
-from helpers import canonical_instances, peeling_fixpoint, per_line_read
+                           read_hypergraph, remove_vertex, run_replicas, sample_poisson,
+                           write_hypergraph)
+from helpers import canonical_instances, peeling_fixpoint, per_line_read, plain
 from test_chain import both_paths, seed_words
 from test_hypergraph import assert_both_loops_collapse_alike
 from test_montecarlo import reference_deviation
@@ -325,3 +326,62 @@ def test_compiled_fixed_pick_removes_in_the_python_order(kernel, h):
     want = hypergraph._collapse_steps(h.n_vertices, h.sizes, h.ids, None, True)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1])
+
+
+bit_generators = st.sampled_from([np.random.PCG64, np.random.MT19937])
+# numpy's three bounded draws of integers(n): 32-bit Lemire for n - 1 < 2**32 - 1,
+# raw 32-bit words for n = 2**32, 64-bit Lemire above; few vertices repeat ids
+vertex_counts = st.one_of(st.integers(1, 8), st.integers(9, 2**32 - 1), st.just(2**32),
+                          st.integers(2**32 + 1, 2**63 - 1))
+
+
+@st.composite
+def sample_models(draw):
+    """(n, series): a mean of 0 to 20 edges of each size up to the degree,
+    which is n, so that a subset takes every vertex, when n <= 8."""
+    n = draw(vertex_counts)
+    means = draw(st.lists(st.floats(0.0, 20.0), min_size=min(n, 8) + 1,
+                          max_size=min(n, 8) + 1))
+    return n, BetaSeries(tuple(mean / n for mean in means))
+
+
+@PROPERTY
+@given(bit_generator=bit_generators, model=sample_models(), seed=seeds)
+@example(bit_generator=np.random.PCG64, model=(6, BetaSeries((0.0,) * 6 + (1.0,))), seed=1)
+@example(bit_generator=np.random.MT19937, model=(2**32, BetaSeries((0.0, 0.0, 4e-9))), seed=2)
+@example(bit_generator=np.random.PCG64, model=(2**63 - 1, BetaSeries((0.0, 0.0, 1e-18))),
+         seed=3)
+def test_sample_draws_alike_with_and_without_the_kernel(bit_generator, model, seed):
+    # where no kernel loads, both runs take hypergraph._uniform_subsets
+    n, series = model
+    outcomes = []
+    for load in (chain_kernel.load, lambda: None):
+        rng = np.random.Generator(bit_generator(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chain_kernel, "load", load)
+            h = sample_poisson(n, series, rng)
+        outcomes.append((h.sizes.tolist(), h.ids.tolist(), plain(rng.bit_generator.state)))
+    assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def subset_shapes(draw):
+    """(n, size, count) of subsets that can be drawn."""
+    n = draw(vertex_counts)
+    return n, draw(st.integers(0, min(n, 8))), draw(st.integers(0, 30))
+
+
+@PROPERTY
+@given(bit_generator=bit_generators, shape=subset_shapes(), seed=seeds)
+@example(bit_generator=np.random.PCG64, shape=(5, 5, 10), seed=1)
+@example(bit_generator=np.random.MT19937, shape=(2**32, 3, 5), seed=2)
+@example(bit_generator=np.random.PCG64, shape=(2**32 + 1, 3, 5), seed=3)
+@example(bit_generator=np.random.MT19937, shape=(2**63 - 1, 3, 5), seed=4)
+def test_compiled_subsets_match_the_python_loop(kernel, bit_generator, shape, seed):
+    # element for element: each subset's ids in the order first drawn
+    got_bitgen, want_bitgen = bit_generator(seed), bit_generator(seed)
+    got = kernel.subsets(*shape, got_bitgen)
+    want = chain_kernel.PYTHON_LOOPS.subsets(*shape, want_bitgen)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    assert plain(got_bitgen.state) == plain(want_bitgen.state)
